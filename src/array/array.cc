@@ -90,6 +90,7 @@ Result<Array> Array::Create(std::vector<Dimension> dims,
                             std::vector<std::string> attrs) {
   if (dims.empty()) return Status::InvalidArgument("array needs >= 1 dimension");
   if (attrs.empty()) return Status::InvalidArgument("array needs >= 1 attribute");
+  int64_t volume = 1;
   for (const Dimension& d : dims) {
     if (d.length <= 0) {
       return Status::InvalidArgument("dimension '" + d.name +
@@ -98,6 +99,13 @@ Result<Array> Array::Create(std::vector<Dimension> dims,
     if (d.chunk_length <= 0) {
       return Status::InvalidArgument("dimension '" + d.name +
                                      "' must have positive chunk length");
+    }
+    // Coordinate bounds and chunk offsets are int64 arithmetic.
+    int64_t end;
+    if (__builtin_add_overflow(d.start, d.length, &end) ||
+        __builtin_mul_overflow(volume, d.chunk_length, &volume)) {
+      return Status::InvalidArgument("dimension '" + d.name +
+                                     "' overflows int64 extents");
     }
   }
   for (size_t i = 0; i < attrs.size(); ++i) {

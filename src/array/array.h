@@ -59,7 +59,9 @@ class Array {
   Array() = default;
 
   /// Creates an array; every dimension needs positive length and
-  /// chunk_length, and at least one attribute is required.
+  /// chunk_length, and at least one attribute is required. A dimension
+  /// whose end (start + length) or whose chunk volume (the product of
+  /// chunk lengths) overflows int64 is refused with InvalidArgument.
   static Result<Array> Create(std::vector<Dimension> dims,
                               std::vector<std::string> attrs);
 

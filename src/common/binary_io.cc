@@ -82,6 +82,17 @@ Result<std::string> BinaryReader::GetString() {
   return out;
 }
 
+Result<uint32_t> BinaryReader::GetCount(size_t min_element_bytes) {
+  BIGDAWG_ASSIGN_OR_RETURN(uint32_t n, GetUint32());
+  if (n > remaining() / min_element_bytes) {
+    return Status::OutOfRange("count " + std::to_string(n) + " needs at least " +
+                              std::to_string(min_element_bytes) +
+                              " bytes each, but only " +
+                              std::to_string(remaining()) + " remain");
+  }
+  return n;
+}
+
 Result<Value> BinaryReader::GetValue() {
   BIGDAWG_ASSIGN_OR_RETURN(uint8_t tag, GetUint8());
   switch (static_cast<DataType>(tag)) {
@@ -108,7 +119,8 @@ Result<Value> BinaryReader::GetValue() {
 }
 
 Result<Row> BinaryReader::GetRow() {
-  BIGDAWG_ASSIGN_OR_RETURN(uint32_t n, GetUint32());
+  // A value is at least its type tag.
+  BIGDAWG_ASSIGN_OR_RETURN(uint32_t n, GetCount(1));
   Row row;
   row.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -119,7 +131,8 @@ Result<Row> BinaryReader::GetRow() {
 }
 
 Result<Schema> BinaryReader::GetSchema() {
-  BIGDAWG_ASSIGN_OR_RETURN(uint32_t n, GetUint32());
+  // A field is at least a 4-byte name length and a type tag.
+  BIGDAWG_ASSIGN_OR_RETURN(uint32_t n, GetCount(5));
   std::vector<Field> fields;
   fields.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {

@@ -41,6 +41,11 @@ class BinaryWriter {
 
 /// \brief Sequential decoder matching BinaryWriter; every accessor is
 /// bounds-checked and returns OutOfRange past the end.
+///
+/// The input is untrusted (it comes from another engine), so a count read
+/// from it is never used to size an allocation before it is checked: a
+/// count whose elements the remaining bytes cannot hold fails with
+/// OutOfRange and allocates nothing.
 class BinaryReader {
  public:
   explicit BinaryReader(std::string_view data) : data_(data) {}
@@ -54,8 +59,14 @@ class BinaryReader {
   Result<Row> GetRow();
   Result<Schema> GetSchema();
 
+  /// Reads a uint32 element count and returns OutOfRange if that many
+  /// elements of at least `min_element_bytes` each cannot fit in the bytes
+  /// that remain, so the caller may reserve() the count it gets back.
+  Result<uint32_t> GetCount(size_t min_element_bytes);
+
   bool AtEnd() const { return pos_ >= data_.size(); }
   size_t position() const { return pos_; }
+  size_t remaining() const { return data_.size() - pos_; }
 
  private:
   Status GetRaw(void* out, size_t n);

@@ -270,7 +270,8 @@ std::string TableToBinary(const relational::Table& table) {
 Result<relational::Table> TableFromBinary(const std::string& data) {
   BinaryReader reader(data);
   BIGDAWG_ASSIGN_OR_RETURN(Schema schema, reader.GetSchema());
-  BIGDAWG_ASSIGN_OR_RETURN(uint32_t n, reader.GetUint32());
+  // A row is at least its 4-byte value count.
+  BIGDAWG_ASSIGN_OR_RETURN(uint32_t n, reader.GetCount(4));
   std::vector<Row> rows;
   rows.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -315,7 +316,8 @@ Result<relational::Table> TableFromBinaryParallel(const std::string& data,
                                                   ThreadPool* pool) {
   BinaryReader reader(data);
   BIGDAWG_ASSIGN_OR_RETURN(Schema schema, reader.GetSchema());
-  BIGDAWG_ASSIGN_OR_RETURN(uint32_t num_chunks, reader.GetUint32());
+  // Each chunk has a 4-byte length entry.
+  BIGDAWG_ASSIGN_OR_RETURN(uint32_t num_chunks, reader.GetCount(4));
   std::vector<uint32_t> lengths(num_chunks);
   for (uint32_t c = 0; c < num_chunks; ++c) {
     BIGDAWG_ASSIGN_OR_RETURN(lengths[c], reader.GetUint32());
@@ -338,7 +340,7 @@ Result<relational::Table> TableFromBinaryParallel(const std::string& data,
       BinaryReader chunk_reader(
           std::string_view(data).substr(extents[c].first, extents[c].second));
       statuses[c] = [&]() -> Status {
-        BIGDAWG_ASSIGN_OR_RETURN(uint32_t n, chunk_reader.GetUint32());
+        BIGDAWG_ASSIGN_OR_RETURN(uint32_t n, chunk_reader.GetCount(4));
         chunk_rows[c].reserve(n);
         for (uint32_t r = 0; r < n; ++r) {
           BIGDAWG_ASSIGN_OR_RETURN(Row row, chunk_reader.GetRow());

@@ -91,13 +91,19 @@ Result<array::Array> AssocToArray(const d4m::AssocArray& assoc);
 
 /// \brief Serializes a relation to the compact binary wire format.
 std::string TableToBinary(const relational::Table& table);
-/// \brief Parses the binary wire format back into a relation.
+/// \brief Parses the binary wire format back into a relation. Input past
+/// its end, or a field, row or value count that the remaining bytes cannot
+/// hold, fails with OutOfRange before anything is allocated for it; a bad
+/// type tag fails with ParseError.
 Result<relational::Table> TableFromBinary(const std::string& data);
 
 /// \brief Chunked variant of the binary wire format that serializes and
 /// parses row ranges concurrently on `pool` — the paper's "read binary
 /// data in parallel directly from another engine". The chunked format is
 /// distinct from (not interchangeable with) the TableToBinary format.
+/// Decoding bounds every count as TableFromBinary does (OutOfRange, with
+/// no allocation sized by it), chunk-length entries included, and refuses
+/// chunk lengths that do not add up to the input with ParseError.
 std::string TableToBinaryParallel(const relational::Table& table,
                                   ThreadPool* pool, size_t num_chunks = 0);
 Result<relational::Table> TableFromBinaryParallel(const std::string& data,

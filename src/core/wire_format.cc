@@ -125,6 +125,19 @@ Status CheckFrameHeader(common::VarintReader* reader, uint8_t want_kind) {
   return Status::OK();
 }
 
+/// Refuses a count of elements that take at least `min_bytes` each when the
+/// bytes left in the frame cannot hold them, before anything is sized by it.
+Status CheckCount(const common::VarintReader& reader, uint64_t count,
+                  uint64_t min_bytes, const char* what) {
+  if (count > reader.remaining() / min_bytes) {
+    return Status::InvalidArgument(
+        std::string(what) + " count " + std::to_string(count) +
+        " exceeds what the remaining " + std::to_string(reader.remaining()) +
+        " bytes can hold");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -189,6 +202,8 @@ Result<relational::Table> DecodeTable(const std::string& wire) {
   BIGDAWG_RETURN_NOT_OK(CheckFrameHeader(&reader, kKindTable));
 
   BIGDAWG_ASSIGN_OR_RETURN(uint64_t num_fields, reader.GetVarint64());
+  // A field is at least a name-length varint and a type byte.
+  BIGDAWG_RETURN_NOT_OK(CheckCount(reader, num_fields, 2, "field"));
   std::vector<Field> fields;
   fields.reserve(num_fields);
   for (uint64_t i = 0; i < num_fields; ++i) {
@@ -199,6 +214,18 @@ Result<relational::Table> DecodeTable(const std::string& wire) {
   }
 
   BIGDAWG_ASSIGN_OR_RETURN(uint64_t n, reader.GetVarint64());
+  if (num_fields > 0) {
+    // Each column stores ceil(n/64) 8-byte null-bitmap words.
+    BIGDAWG_RETURN_NOT_OK(CheckCount(reader, n / 64 + (n % 64 != 0),
+                                     8 * num_fields, "bitmap word"));
+  } else if (n > wire.size()) {
+    // Zero-field rows carry no bytes. At most one row per frame byte keeps
+    // the decoded table within a small multiple of its input.
+    return Status::InvalidArgument("zero-field row count " +
+                                   std::to_string(n) + " exceeds the " +
+                                   std::to_string(wire.size()) +
+                                   "-byte frame");
+  }
   // Column-major decode into row-major storage.
   std::vector<Row> rows(n);
   for (auto& row : rows) row.resize(num_fields);
@@ -289,6 +316,9 @@ Result<array::Array> DecodeArray(const std::string& wire) {
   BIGDAWG_RETURN_NOT_OK(CheckFrameHeader(&reader, kKindArray));
 
   BIGDAWG_ASSIGN_OR_RETURN(uint64_t num_dims, reader.GetVarint64());
+  // A dimension is at least four varints: name length, start, length and
+  // chunk length.
+  BIGDAWG_RETURN_NOT_OK(CheckCount(reader, num_dims, 4, "dimension"));
   std::vector<array::Dimension> dims;
   dims.reserve(num_dims);
   for (uint64_t i = 0; i < num_dims; ++i) {
@@ -300,6 +330,8 @@ Result<array::Array> DecodeArray(const std::string& wire) {
                       static_cast<int64_t>(chunk_length));
   }
   BIGDAWG_ASSIGN_OR_RETURN(uint64_t num_attrs, reader.GetVarint64());
+  // An attribute is at least its name-length varint.
+  BIGDAWG_RETURN_NOT_OK(CheckCount(reader, num_attrs, 1, "attribute"));
   std::vector<std::string> attrs;
   attrs.reserve(num_attrs);
   for (uint64_t i = 0; i < num_attrs; ++i) {

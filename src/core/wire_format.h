@@ -35,6 +35,15 @@ namespace bigdawg::core {
 /// The encoding is canonical: array cells are emitted in coordinate
 /// order and assoc cells in key order, so decode(encode(x)) re-encodes
 /// byte-identically — the property the dataplane round-trip test pins.
+///
+/// The decoders are bounds-checked and fail with InvalidArgument on a
+/// truncated, corrupt or trailing-garbage frame. Every count is checked
+/// against the bytes left before anything is sized by it: a field,
+/// dimension, attribute or row count that the remaining bytes cannot hold
+/// fails with InvalidArgument and allocates nothing. A table row takes a
+/// bitmap bit per column; rows of a zero-field table take no bytes, so
+/// such a frame may declare at most one row per byte of the frame (a
+/// larger zero-field table encodes, but its frame is refused).
 
 std::string EncodeTable(const relational::Table& table);
 Result<relational::Table> DecodeTable(const std::string& wire);

@@ -679,7 +679,9 @@ std::string StreamEngine::SerializeLog(const std::vector<LogRecord>& log) {
 Result<std::vector<LogRecord>> StreamEngine::DeserializeLog(
     const std::string& bytes) {
   BinaryReader reader(bytes);
-  BIGDAWG_ASSIGN_OR_RETURN(uint32_t n, reader.GetUint32());
+  // A record is at least a 4-byte procedure-name length and a 4-byte
+  // value count.
+  BIGDAWG_ASSIGN_OR_RETURN(uint32_t n, reader.GetCount(8));
   std::vector<LogRecord> log;
   log.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {

@@ -335,7 +335,9 @@ class StreamEngine {
   Status ReplayLog(const std::vector<LogRecord>& log);
 
   /// Durable form of the command log: the compact binary wire format the
-  /// recovery scheme writes to stable storage.
+  /// recovery scheme writes to stable storage. Deserializing a log whose
+  /// record count the remaining bytes cannot hold fails with OutOfRange
+  /// and allocates nothing; trailing bytes fail with ParseError.
   static std::string SerializeLog(const std::vector<LogRecord>& log);
   static Result<std::vector<LogRecord>> DeserializeLog(const std::string& bytes);
 

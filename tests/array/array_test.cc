@@ -1,5 +1,7 @@
 #include "array/array.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
@@ -29,6 +31,22 @@ TEST(ArrayTest, CreateValidation) {
                   .IsInvalidArgument());
   EXPECT_TRUE(Array::Create({Dimension("i", 0, 4, 2)}, {"v", "v"}).status()
                   .IsInvalidArgument());
+}
+
+TEST(ArrayTest, CreateRefusesOverflowingExtents) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  EXPECT_TRUE(Array::Create({Dimension("i", kMax - 1, 4, 2)}, {"v"}).status()
+                  .IsInvalidArgument());
+  // 2^32 * 2^32 wraps the chunk volume; Set would index a 0-cell chunk.
+  EXPECT_TRUE(Array::Create({Dimension("i", 0, 4, int64_t{1} << 32),
+                             Dimension("j", 0, 4, int64_t{1} << 32)},
+                            {"v"})
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(Array::Create({Dimension("i", 0, 4, int64_t{1} << 31),
+                             Dimension("j", 0, 4, int64_t{1} << 31)},
+                            {"v"})
+                  .ok());
 }
 
 TEST(ArrayTest, SetGetRoundTrip) {

@@ -140,6 +140,8 @@ TEST(StreamLogSerializationTest, RoundTrip) {
   EXPECT_FALSE(stream::StreamEngine::DeserializeLog(bytes + "x").ok());
   EXPECT_FALSE(
       stream::StreamEngine::DeserializeLog(bytes.substr(0, bytes.size() - 3)).ok());
+  // A record count far larger than the bytes that follow it.
+  EXPECT_FALSE(stream::StreamEngine::DeserializeLog("garbage").ok());
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/varint.h"
 #include "core/wire_format.h"
 
 namespace bigdawg::core {
@@ -173,6 +174,37 @@ TEST(WireRoundTripTest, CorruptFramesFailTyped) {
 
   // Trailing garbage.
   EXPECT_TRUE(DecodeTable(wire + "zzz").status().IsInvalidArgument());
+
+  // Hostile counts fail typed instead of sizing an allocation: a 12-byte
+  // zero-field frame declaring 2^40 rows, and a field count of 2^63.
+  std::string rows_frame("BDW1\x01", 5);
+  common::PutVarint64(&rows_frame, 0);
+  common::PutVarint64(&rows_frame, uint64_t{1} << 40);
+  EXPECT_TRUE(DecodeTable(rows_frame).status().IsInvalidArgument());
+  std::string fields_frame("BDW1\x01", 5);
+  common::PutVarint64(&fields_frame, uint64_t{1} << 63);
+  EXPECT_TRUE(DecodeTable(fields_frame).status().IsInvalidArgument());
+}
+
+TEST(WireRoundTripTest, OverflowingArrayExtentsFailTyped) {
+  // Two dimensions of chunk length 2^32: the chunk volume wraps int64, so
+  // the one cell would land outside its chunk if the array were built.
+  std::string frame("BDW1\x02", 5);
+  common::PutVarint64(&frame, 2);
+  for (const char* name : {"x", "y"}) {
+    common::PutVarint64(&frame, 1);
+    frame += name;
+    common::PutVarintSigned(&frame, 0);
+    common::PutVarint64(&frame, 4);
+    common::PutVarint64(&frame, uint64_t{1} << 32);
+  }
+  common::PutVarint64(&frame, 1);
+  frame += std::string("\x01v", 2);
+  common::PutVarint64(&frame, 1);
+  common::PutVarintSigned(&frame, 3);
+  common::PutVarintSigned(&frame, 3);
+  frame += std::string(8, '\0');
+  EXPECT_TRUE(DecodeArray(frame).status().IsInvalidArgument());
 }
 
 }  // namespace
