@@ -142,6 +142,15 @@ struct LikeCase {
   bool expected;
 };
 
+// gtest_discover_tests names each case after its printed parameter.
+// Without this, gtest prints the struct's raw bytes -- two string
+// addresses that move with every build and run -- so the ctest names
+// would change each time the suite is discovered.
+void PrintTo(const LikeCase& c, std::ostream* os) {
+  *os << "'" << c.text << "' LIKE '" << c.pattern << "' is "
+      << (c.expected ? "true" : "false");
+}
+
 class LikeMatchSweep : public ::testing::TestWithParam<LikeCase> {};
 
 TEST_P(LikeMatchSweep, Matches) {
