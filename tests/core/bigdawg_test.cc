@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "common/string_util.h"
+#include "core/wire_format.h"
 
 namespace bigdawg::core {
 namespace {
@@ -301,6 +303,108 @@ TEST_F(BigDawgTest, FetchAsAssocFromEveryEngine) {
   EXPECT_TRUE(from_text.Contains("sick", "n1"));
   auto from_array = *dawg_.FetchAsAssoc("waveforms");
   EXPECT_GT(from_array.NumNonEmpty(), 0u);
+}
+
+// Canonical bytes of a fetch result (or its status), so two results
+// compare exactly whatever their model.
+std::string Canonical(const Result<relational::Table>& r) {
+  return r.ok() ? EncodeTable(*r) : r.status().ToString();
+}
+std::string Canonical(const Result<array::Array>& r) {
+  return r.ok() ? EncodeArray(*r) : r.status().ToString();
+}
+std::string Canonical(const Result<d4m::AssocArray>& r) {
+  return r.ok() ? EncodeAssoc(*r) : r.status().ToString();
+}
+
+/// What a fetch of one object must return in each model: the direct
+/// conversion of the object as its home engine holds it.
+struct Expected {
+  std::string object;
+  std::string table, array, assoc;
+};
+
+Expected FromTable(const std::string& object,
+                   const Result<relational::Table>& t) {
+  return {object, Canonical(t), Canonical(TableToArray(*t)),
+          Canonical(TableToAssoc(*t))};
+}
+
+Expected FromArray(const std::string& object, const Result<array::Array>& a) {
+  Result<relational::Table> t = ArrayToTable(*a);
+  return {object, Canonical(t), Canonical(a), Canonical(TableToAssoc(*t))};
+}
+
+// The D4M view of a text corpus: term x document incidence, value = tf.
+d4m::AssocArray Incidence(kvstore::TextStore& text) {
+  d4m::AssocArray out;
+  for (const std::string& id : text.ListDocumentIds()) {
+    std::map<std::string, double> tf;
+    for (const std::string& term : Split(*text.GetText(id), ' ')) ++tf[term];
+    for (const auto& [term, n] : tf) out.Set(term, id, Value(n));
+  }
+  return out;
+}
+
+TEST_F(BigDawgTest, FetchEveryModelFromEveryEngine) {
+  dawg_.sstore().Start();
+  for (int64_t p = 0; p < 3; ++p) {
+    BIGDAWG_CHECK_OK(dawg_.sstore().Ingest(
+        "vitals", {Value(p), Value(70.0 + static_cast<double>(p))}));
+  }
+  dawg_.sstore().WaitForDrain();
+  ASSERT_EQ(dawg_.sstore().StreamContents("vitals")->size(), 3u);
+  BIGDAWG_CHECK_OK(dawg_.CastAndStore("waveforms", DataModel::kTileMatrix, "tiles"));
+  BIGDAWG_CHECK_OK(dawg_.CastAndStore("patients", DataModel::kAssociative, "graph"));
+
+  std::vector<Expected> cases;
+  cases.push_back(FromTable("patients", dawg_.postgres().GetTable("patients")));
+  cases.push_back(FromArray("waveforms", dawg_.scidb().GetArray("waveforms")));
+  {
+    relational::Table notes{Schema({Field("doc_id", DataType::kString),
+                                    Field("owner", DataType::kString),
+                                    Field("text", DataType::kString)})};
+    for (const std::string& id : dawg_.accumulo().ListDocumentIds()) {
+      notes.AppendUnchecked({Value(id), Value(*dawg_.accumulo().GetOwner(id)),
+                             Value(*dawg_.accumulo().GetText(id))});
+    }
+    Expected e = FromTable("notes", notes);
+    e.assoc = EncodeAssoc(Incidence(dawg_.accumulo()));
+    cases.push_back(e);
+  }
+  cases.push_back(FromTable(
+      "vitals", relational::Table(*dawg_.sstore().StreamSchema("vitals"),
+                                  *dawg_.sstore().StreamContents("vitals"))));
+  cases.push_back(FromArray(
+      "tiles", TileMatrixToArray(*dawg_.tiledb().GetArray("tiles"))));
+  {
+    d4m::AssocArray graph =
+        *TableToAssoc(*dawg_.postgres().GetTable("patients"));
+    cases.push_back({"graph", Canonical(AssocToTable(graph)),
+                     Canonical(AssocToArray(graph)), EncodeAssoc(graph)});
+  }
+
+  // The first round fills the cast cache, the second reads through it.
+  for (int round = 0; round < 2; ++round) {
+    for (const Expected& e : cases) {
+      SCOPED_TRACE(e.object + " round " + std::to_string(round));
+      EXPECT_EQ(Canonical(dawg_.FetchAsTable(e.object)), e.table);
+      EXPECT_EQ(Canonical(dawg_.FetchAsArray(e.object)), e.array);
+      EXPECT_EQ(Canonical(dawg_.FetchAsAssoc(e.object)), e.assoc);
+    }
+  }
+  dawg_.sstore().Stop();
+}
+
+TEST_F(BigDawgTest, AssocOfTextIgnoresFreshD4mReplica) {
+  // A d4m replica of a corpus holds its (doc_id, owner, text) relation as
+  // an assoc, not the term x document incidence FetchAsAssoc promises.
+  BIGDAWG_CHECK_OK(dawg_.ReplicateObject("notes", kEngineD4m));
+  ASSERT_TRUE(dawg_.catalog().ReplicaIsFresh("notes", kEngineD4m));
+  const std::string incidence = EncodeAssoc(Incidence(dawg_.accumulo()));
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(Canonical(dawg_.FetchAsAssoc("notes")), incidence);
+  }
 }
 
 }  // namespace
