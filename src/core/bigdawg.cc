@@ -2,7 +2,7 @@
 
 #include <cstdlib>
 #include <mutex>
-#include <shared_mutex>
+#include <type_traits>
 
 #include "common/lexer.h"
 #include "common/logging.h"
@@ -42,7 +42,6 @@ BigDawg::BigDawg() {
   engines.text = &text_;
   engines.stream = &stream_;
   engines.tiledb = &tiledb_;
-  engines.assoc = &assoc_store_;
   engines.shards = &shard_runtime_;
 
   ObjectFetcher table_fetcher = [this](const std::string& object) {
@@ -162,53 +161,307 @@ bool BigDawg::EngineConsideredDown(const std::string& engine) const {
 }
 
 // ---------------------------------------------------------------------------
+// Data-model traits: what the one fetch/gather/store path knows per model
+// ---------------------------------------------------------------------------
+
+/// Per-model data for the generic fetch, gather, store and shard code: the
+/// home engine (where the model is read natively and where its sharded
+/// objects live), span names, cache target, the engine instances with their
+/// read/write/erase calls, the fragment merge and partitioner, and the
+/// conversions from and to a relation.
+template <>
+struct ModelTraits<relational::Table> {
+  using Model = relational::Table;
+  using Engine = relational::Database;
+  static constexpr const char* kHome = kEnginePostgres;
+  static constexpr const char* kShimSpan = "shim:table";
+  static constexpr const char* kScatterSpan = "scatter:table";
+  static constexpr CastTarget kTarget = CastTarget::kTable;
+  static constexpr bool kReadsHomeReplica = true;
+  static constexpr bool kFailsOverToHomeReplica = false;
+  /// Engines whose objects convert to the model without a nested
+  /// FetchAsTable: for a relation, every engine.
+  static bool ReadsDirect(const std::string&) { return true; }
+
+  static Engine& Home(BigDawg& d) { return d.relational_; }
+  static Engine& Instance(ShardRuntime& r, int i) { return *r.Relational(i); }
+  static Result<Model> Read(const Engine& e, const std::string& native) {
+    return e.GetTable(native);
+  }
+  static Status Write(Engine& e, const std::string& native, Model m) {
+    return e.PutTable(native, std::move(m));
+  }
+  static void Erase(Engine& e, const std::string& native) {
+    (void)e.DropTable(native);
+  }
+  static Result<Model> Merge(std::vector<Model> fragments) {
+    return MergeTableFragments(std::move(fragments));
+  }
+  /// Hash-partitions on `key` (default: the first column).
+  static Result<std::vector<Model>> Partition(const Model& whole,
+                                              const std::string& key,
+                                              ShardPlacement* placement) {
+    if (whole.schema().num_fields() == 0) {
+      return Status::InvalidArgument("table has no columns to shard on");
+    }
+    placement->kind = PartitionKind::kHash;
+    placement->key = key.empty() ? whole.schema().field(0).name : key;
+    return PartitionTable(whole, *placement);
+  }
+};
+
+template <>
+struct ModelTraits<array::Array> {
+  using Model = array::Array;
+  using Engine = array::ArrayEngine;
+  static constexpr const char* kHome = kEngineSciDb;
+  static constexpr const char* kShimSpan = "shim:array";
+  static constexpr const char* kScatterSpan = "scatter:array";
+  static constexpr CastTarget kTarget = CastTarget::kArray;
+  static constexpr bool kReadsHomeReplica = true;
+  /// A down primary with a fresh scidb replica serves the array natively
+  /// before FailoverFetch shims any other replica.
+  static constexpr bool kFailsOverToHomeReplica = true;
+  static bool ReadsDirect(const std::string& engine) {
+    return engine == kEngineTileDb || engine == kEngineD4m;
+  }
+
+  static Engine& Home(BigDawg& d) { return d.array_; }
+  static Engine& Instance(ShardRuntime& r, int i) { return *r.ArrayAt(i); }
+  static Result<Model> Read(const Engine& e, const std::string& native) {
+    return e.GetArray(native);
+  }
+  static Status Write(Engine& e, const std::string& native, Model m) {
+    return e.PutArray(native, std::move(m));
+  }
+  static void Erase(Engine& e, const std::string& native) {
+    (void)e.RemoveArray(native);
+  }
+  static Result<Model> Merge(std::vector<Model> fragments) {
+    return MergeArrayFragments(std::move(fragments));
+  }
+  /// Range-partitions dimension `key` (default: the first) into equal
+  /// spans.
+  static Result<std::vector<Model>> Partition(const Model& whole,
+                                              const std::string& key,
+                                              ShardPlacement* placement) {
+    if (whole.num_dims() == 0) {
+      return Status::InvalidArgument("array has no dimensions to shard on");
+    }
+    placement->kind = PartitionKind::kRange;
+    placement->key = key.empty() ? whole.dims()[0].name : key;
+    size_t dim_idx = whole.num_dims();
+    for (size_t d = 0; d < whole.num_dims(); ++d) {
+      if (whole.dims()[d].name == placement->key) {
+        dim_idx = d;
+        break;
+      }
+    }
+    if (dim_idx == whole.num_dims()) {
+      return Status::InvalidArgument("no dimension named " + placement->key);
+    }
+    const array::Dimension& dim = whole.dims()[dim_idx];
+    const int shard_count = placement->shard_count;
+    for (int j = 0; j < shard_count - 1; ++j) {
+      placement->range_splits.push_back(
+          dim.start + (dim.length * (j + 1)) / shard_count);
+    }
+    return PartitionArray(whole, *placement);
+  }
+  static Result<Model> FromTable(const relational::Table& t) {
+    return TableToArray(t);
+  }
+  static Result<relational::Table> ToTable(const Model& a) {
+    return ArrayToTable(a);
+  }
+};
+
+template <>
+struct ModelTraits<d4m::AssocArray> {
+  using Model = d4m::AssocArray;
+  using Engine = AssocShard;
+  static constexpr const char* kHome = kEngineD4m;
+  static constexpr const char* kShimSpan = "shim:assoc";
+  static constexpr const char* kScatterSpan = "scatter:assoc";
+  static constexpr CastTarget kTarget = CastTarget::kAssoc;
+  /// Never: a d4m replica of a text corpus holds its (doc_id, owner, text)
+  /// relation as an assoc, not the term x document incidence.
+  static constexpr bool kReadsHomeReplica = false;
+  static constexpr bool kFailsOverToHomeReplica = false;
+  static bool ReadsDirect(const std::string& engine) {
+    return engine == kEngineAccumulo;
+  }
+
+  static Engine& Home(BigDawg& d) { return d.assoc_store_; }
+  static Engine& Instance(ShardRuntime& r, int i) { return *r.AssocAt(i); }
+  static Result<Model> Read(const Engine& e, const std::string& native) {
+    return e.Get(native);
+  }
+  static Status Write(Engine& e, const std::string& native, Model m) {
+    e.Put(native, std::move(m));
+    return Status::OK();
+  }
+  static void Erase(Engine& e, const std::string& native) { e.Erase(native); }
+  static Result<Model> Merge(std::vector<Model> fragments) {
+    return MergeAssocFragments(std::move(fragments));
+  }
+  /// Hash-partitions on the row key.
+  static Result<std::vector<Model>> Partition(const Model& whole,
+                                              const std::string& key,
+                                              ShardPlacement* placement) {
+    placement->kind = PartitionKind::kHash;
+    placement->key = key.empty() ? "row" : key;
+    return PartitionAssoc(whole, *placement);
+  }
+  static Result<Model> FromTable(const relational::Table& t) {
+    return TableToAssoc(t);
+  }
+  static Result<relational::Table> ToTable(const Model& a) {
+    return AssocToTable(a);
+  }
+};
+
+namespace {
+
+/// Moves a value between data models the way the shims always have:
+/// through a relation, except assoc -> array, which encodes the keys
+/// ordinally rather than going through (row, col, value) triples.
+template <typename To, typename From>
+Result<To> Convert(From from) {
+  if constexpr (std::is_same_v<To, From>) {
+    return from;
+  } else if constexpr (std::is_same_v<From, d4m::AssocArray> &&
+                       std::is_same_v<To, array::Array>) {
+    return AssocToArray(from);
+  } else if constexpr (std::is_same_v<From, relational::Table>) {
+    return ModelTraits<To>::FromTable(from);
+  } else {
+    BIGDAWG_ASSIGN_OR_RETURN(relational::Table t, ModelTraits<From>::ToTable(from));
+    return Convert<To>(std::move(t));
+  }
+}
+
+template <typename To, typename From>
+Result<To> Convert(Result<From> from) {
+  if constexpr (std::is_same_v<To, From>) {
+    return from;
+  } else {
+    if (!from.ok()) return from.status();
+    return Convert<To>(std::move(*from));
+  }
+}
+
+/// Calls `fn` with the traits of the model that sharded objects homed on
+/// `engine` are partitioned in; returns `unshardable` for any other engine.
+template <typename R, typename Fn>
+R VisitShardModel(const std::string& engine, Fn&& fn, R unshardable) {
+  if (engine == kEnginePostgres) return fn(ModelTraits<relational::Table>{});
+  if (engine == kEngineSciDb) return fn(ModelTraits<array::Array>{});
+  if (engine == kEngineD4m) return fn(ModelTraits<d4m::AssocArray>{});
+  return unshardable;
+}
+
+/// The engine a CAST into `model` materializes on.
+const char* EngineForModel(DataModel model) {
+  switch (model) {
+    case DataModel::kRelation:
+      return kEnginePostgres;
+    case DataModel::kArray:
+      return kEngineSciDb;
+    case DataModel::kAssociative:
+      return kEngineD4m;
+    case DataModel::kTileMatrix:
+      return kEngineTileDb;
+  }
+  return kEnginePostgres;
+}
+
+/// CAST temporaries are written, read once, and dropped by the same
+/// execution; caching them would only churn the LRU.
+bool IsCastTemp(const std::string& object) {
+  return object.rfind("__cast_", 0) == 0;
+}
+
+/// Reads through the cast cache: `read` runs only on a miss, and a
+/// successful result is cached with its byte size.
+template <typename T, typename Read, typename Current>
+Result<T> CachedRead(CastCache& cache, const CastCacheKey& key, Read&& read,
+                     Current&& still_current, const ExecContext* waiter,
+                     CastCacheOutcome* outcome, int64_t* bytes) {
+  Result<std::shared_ptr<const T>> cached = cache.GetOrCompute<T>(
+      key,
+      [&]() -> Result<std::pair<std::shared_ptr<const T>, int64_t>> {
+        BIGDAWG_ASSIGN_OR_RETURN(T value, read());
+        const int64_t size = value.ByteSize();
+        return std::make_pair(std::make_shared<const T>(std::move(value)), size);
+      },
+      still_current, waiter, outcome, bytes);
+  if (!cached.ok()) return cached.status();
+  return **cached;
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
 // Cross-model fetch (shims)
 // ---------------------------------------------------------------------------
+
+template <typename T>
+Result<T> BigDawg::ReadAs(const std::string& engine, const std::string& native) {
+  if (engine == kEnginePostgres) return Convert<T>(relational_.GetTable(native));
+  if (engine == kEngineSciDb) return Convert<T>(array_.GetArray(native));
+  if (engine == kEngineAccumulo) {
+    if constexpr (std::is_same_v<T, d4m::AssocArray>) {
+      // The D4M view of a text corpus: the term x document incidence
+      // associative array (row = term, col = doc id, value = tf).
+      d4m::AssocArray out;
+      kvstore::ScanOptions options;
+      options.family = "idx";
+      text_.backing_store().ApplyToRange(options, [&out](const kvstore::Cell& cell) {
+        // Rows are "term:<t>".
+        std::string term = cell.key.row.substr(5);
+        out.Set(term, cell.key.qualifier,
+                Value(std::strtod(cell.value.c_str(), nullptr)));
+        return true;
+      });
+      return out;
+    } else {
+      // The text corpus as a (doc_id, owner, text) relation.
+      relational::Table out{Schema({Field("doc_id", DataType::kString),
+                                    Field("owner", DataType::kString),
+                                    Field("text", DataType::kString)})};
+      for (const std::string& id : text_.ListDocumentIds()) {
+        Result<std::string> doc_text = text_.GetText(id);
+        Result<std::string> owner = text_.GetOwner(id);
+        if (!doc_text.ok()) continue;
+        out.AppendUnchecked({Value(id), Value(owner.ValueOr("")), Value(*doc_text)});
+      }
+      return Convert<T>(std::move(out));
+    }
+  }
+  if (engine == kEngineSStore) {
+    BIGDAWG_ASSIGN_OR_RETURN(Schema schema, stream_.StreamSchema(native));
+    BIGDAWG_ASSIGN_OR_RETURN(std::vector<Row> rows, stream_.StreamContents(native));
+    return Convert<T>(relational::Table(std::move(schema), std::move(rows)));
+  }
+  if (engine == kEngineTileDb) {
+    BIGDAWG_ASSIGN_OR_RETURN(tiledb::TileDbArray m, tiledb_.GetArray(native));
+    return Convert<T>(TileMatrixToArray(m));
+  }
+  if (engine == kEngineD4m) {
+    Result<d4m::AssocArray> a = assoc_store_.Get(native);
+    if (!a.ok()) {
+      return Status::Internal("catalog points at missing assoc object: " + native);
+    }
+    return Convert<T>(std::move(a));
+  }
+  return Status::Internal("catalog entry has unknown engine: " + engine);
+}
 
 Result<relational::Table> BigDawg::FetchTableFrom(const std::string& engine,
                                                   const std::string& native) {
   BIGDAWG_RETURN_NOT_OK(CheckEngine(engine));
-  ObjectLocation loc{"", engine, native};
-  if (loc.engine == kEnginePostgres) {
-    return relational_.GetTable(loc.native_name);
-  }
-  if (loc.engine == kEngineSciDb) {
-    BIGDAWG_ASSIGN_OR_RETURN(array::Array a, array_.GetArray(loc.native_name));
-    return ArrayToTable(a);
-  }
-  if (loc.engine == kEngineAccumulo) {
-    // The text corpus as a (doc_id, owner, text) relation.
-    relational::Table out{Schema({Field("doc_id", DataType::kString),
-                                  Field("owner", DataType::kString),
-                                  Field("text", DataType::kString)})};
-    for (const std::string& id : text_.ListDocumentIds()) {
-      Result<std::string> doc_text = text_.GetText(id);
-      Result<std::string> owner = text_.GetOwner(id);
-      if (!doc_text.ok()) continue;
-      out.AppendUnchecked({Value(id), Value(owner.ValueOr("")), Value(*doc_text)});
-    }
-    return out;
-  }
-  if (loc.engine == kEngineSStore) {
-    BIGDAWG_ASSIGN_OR_RETURN(Schema schema, stream_.StreamSchema(loc.native_name));
-    BIGDAWG_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                             stream_.StreamContents(loc.native_name));
-    return relational::Table(std::move(schema), std::move(rows));
-  }
-  if (loc.engine == kEngineTileDb) {
-    BIGDAWG_ASSIGN_OR_RETURN(tiledb::TileDbArray m, tiledb_.GetArray(loc.native_name));
-    BIGDAWG_ASSIGN_OR_RETURN(array::Array a, TileMatrixToArray(m));
-    return ArrayToTable(a);
-  }
-  if (loc.engine == kEngineD4m) {
-    std::shared_lock lock(assoc_mu_);
-    auto it = assoc_store_.find(loc.native_name);
-    if (it == assoc_store_.end()) {
-      return Status::Internal("catalog points at missing assoc object: " + native);
-    }
-    return AssocToTable(it->second);
-  }
-  return Status::Internal("catalog entry has unknown engine: " + loc.engine);
+  return ReadAs<relational::Table>(engine, native);
 }
 
 Result<relational::Table> BigDawg::FailoverFetch(const std::string& object,
@@ -241,16 +494,6 @@ Result<relational::Table> BigDawg::FailoverFetch(const std::string& object,
                              " is down and no fresh replica can serve " + object);
 }
 
-namespace {
-
-/// CAST temporaries are written, read once, and dropped by the same
-/// execution; caching them would only churn the LRU.
-bool IsCastTemp(const std::string& object) {
-  return object.rfind("__cast_", 0) == 0;
-}
-
-}  // namespace
-
 void BigDawg::StampCacheOutcome(CastCacheOutcome outcome, int64_t bytes,
                                 bool ok, obs::SpanGuard* shim_span,
                                 obs::Trace* trace) {
@@ -261,32 +504,57 @@ void BigDawg::StampCacheOutcome(CastCacheOutcome outcome, int64_t bytes,
   if (trace != nullptr) shim_span->Tag("cache", CastCacheOutcomeName(outcome));
 }
 
-Result<relational::Table> BigDawg::FetchTableRouted(const std::string& object,
-                                                    const ObjectLocation& loc,
-                                                    obs::SpanGuard* shim_span,
-                                                    obs::Trace* trace) {
-  if (EngineConsideredDown(loc.engine)) return FailoverFetch(object, loc);
-  // Prefer a fresh relational replica: it serves the relation directly,
-  // skipping the cross-model shim.
-  if (loc.engine != kEnginePostgres &&
-      catalog_.ReplicaIsFresh(object, kEnginePostgres) &&
-      !EngineConsideredDown(kEnginePostgres)) {
-    BIGDAWG_ASSIGN_OR_RETURN(ReplicaLocation replica,
-                             catalog_.ReplicaOn(object, kEnginePostgres));
-    BIGDAWG_RETURN_NOT_OK(CheckEngine(kEnginePostgres));
-    if (trace != nullptr) shim_span->Tag("replica", kEnginePostgres);
-    return relational_.GetTable(replica.native_name);
+template <typename T>
+Result<T> BigDawg::FetchRouted(const std::string& object,
+                               const ObjectLocation& loc,
+                               obs::SpanGuard* shim_span, obs::Trace* trace) {
+  using Traits = ModelTraits<T>;
+  auto fresh_home_replica = [&] {
+    return loc.engine != Traits::kHome &&
+           catalog_.ReplicaIsFresh(object, Traits::kHome) &&
+           !EngineConsideredDown(Traits::kHome);
+  };
+  if (EngineConsideredDown(loc.engine)) {
+    if (Traits::kFailsOverToHomeReplica && fresh_home_replica()) {
+      BIGDAWG_ASSIGN_OR_RETURN(ReplicaLocation replica,
+                               catalog_.ReplicaOn(object, Traits::kHome));
+      obs::SpanGuard failover_span(trace, "failover");
+      if (trace != nullptr) {
+        failover_span.Tag("from", loc.engine);
+        failover_span.Tag("to", Traits::kHome);
+      }
+      BIGDAWG_RETURN_NOT_OK(CheckEngine(Traits::kHome));
+      monitor_.RecordFailover(loc.engine);
+      if (ActiveCtx() != nullptr) ++ActiveCtx()->failovers;
+      return ReadAs<T>(Traits::kHome, replica.native_name);
+    }
+    return Convert<T>(FailoverFetch(object, loc));
   }
-  return FetchTableFrom(loc.engine, loc.native_name);
+  // Prefer a fresh home-model replica: it serves the model natively,
+  // skipping the cross-model shim.
+  if (Traits::kReadsHomeReplica && fresh_home_replica()) {
+    BIGDAWG_ASSIGN_OR_RETURN(ReplicaLocation replica,
+                             catalog_.ReplicaOn(object, Traits::kHome));
+    BIGDAWG_RETURN_NOT_OK(CheckEngine(Traits::kHome));
+    if (trace != nullptr) shim_span->Tag("replica", Traits::kHome);
+    return ReadAs<T>(Traits::kHome, replica.native_name);
+  }
+  if (loc.engine == Traits::kHome || Traits::ReadsDirect(loc.engine)) {
+    BIGDAWG_RETURN_NOT_OK(CheckEngine(loc.engine));
+    return ReadAs<T>(loc.engine, loc.native_name);
+  }
+  // Everything else goes through its relation, itself a (cached) shim.
+  return Convert<T>(FetchAsTable(object));
 }
 
-Result<relational::Table> BigDawg::FetchAsTable(const std::string& object) {
+template <typename T>
+Result<T> BigDawg::FetchAs(const std::string& object) {
   // A repartition can retire the physical names between a snapshot and
   // the reads under it; a NotFound with a moved placement epoch means
   // exactly that race, and a fresh attempt sees the new layout.
   Result<ObjectSnapshot> before = catalog_.Snapshot(object);
   for (int attempt = 0;; ++attempt) {
-    Result<relational::Table> r = FetchAsTableOnce(object);
+    Result<T> r = FetchOnce<T>(object);
     if (r.ok() || r.status().code() != StatusCode::kNotFound ||
         attempt >= 4) {
       return r;
@@ -300,289 +568,55 @@ Result<relational::Table> BigDawg::FetchAsTable(const std::string& object) {
   }
 }
 
-Result<relational::Table> BigDawg::FetchAsTableOnce(const std::string& object) {
+template <typename T>
+Result<T> BigDawg::FetchOnce(const std::string& object) {
+  using Traits = ModelTraits<T>;
   obs::Trace* trace = ActiveCtx() != nullptr ? ActiveCtx()->trace : nullptr;
-  obs::SpanGuard shim_span(trace, "shim:table");
+  obs::SpanGuard shim_span(trace, Traits::kShimSpan);
   if (trace != nullptr) shim_span.Tag("object", object);
   BIGDAWG_ASSIGN_OR_RETURN(ObjectSnapshot snap, catalog_.Snapshot(object));
   const ObjectLocation& loc = snap.location;
   if (trace != nullptr) shim_span.Tag("engine", loc.engine);
   if (snap.placement.sharded()) {
     if (trace != nullptr) shim_span.Tag("sharded", "true");
-    if (loc.engine == kEnginePostgres) {
-      return GatherShardedTable(object, snap);
-    }
-    if (loc.engine == kEngineSciDb) {
-      BIGDAWG_ASSIGN_OR_RETURN(array::Array a, GatherShardedArray(object, snap));
-      return ArrayToTable(a);
-    }
-    if (loc.engine == kEngineD4m) {
-      BIGDAWG_ASSIGN_OR_RETURN(d4m::AssocArray a,
-                               GatherShardedAssoc(object, snap));
-      return AssocToTable(a);
-    }
-    return Status::Internal("sharded object on unshardable engine: " +
-                            loc.engine);
+    return VisitShardModel<Result<T>>(
+        loc.engine,
+        [&](auto home) -> Result<T> {
+          using Home = typename decltype(home)::Model;
+          return Convert<T>(GatherSharded<Home>(object, snap));
+        },
+        Status::Internal("sharded object on unshardable engine: " + loc.engine));
   }
-  // A postgres-homed relation is a native read, not a cast: there is no
-  // conversion to save, so the cache never interposes on it.
-  if (!cast_cache_.enabled() || loc.engine == kEnginePostgres ||
+  // A home-model read is native, not a cast: there is no conversion to
+  // save, so the cache never interposes on it. (The accumulo term x
+  // document incidence build, by contrast, is O(corpus) and one of the
+  // cache's best customers.)
+  if (!cast_cache_.enabled() || loc.engine == Traits::kHome ||
       IsCastTemp(object)) {
-    return FetchTableRouted(object, loc, &shim_span, trace);
+    return FetchRouted<T>(object, loc, &shim_span, trace);
   }
-  CastCacheKey key{object, snap.instance_id, snap.version, CastTarget::kTable,
-                   ""};
   CastCacheOutcome outcome = CastCacheOutcome::kMiss;
   int64_t bytes = 0;
-  Result<std::shared_ptr<const relational::Table>> cached =
-      cast_cache_.GetOrCompute<relational::Table>(
-          key,
-          [&]() -> Result<
-                    std::pair<std::shared_ptr<const relational::Table>,
-                              int64_t>> {
-            BIGDAWG_ASSIGN_OR_RETURN(
-                relational::Table t,
-                FetchTableRouted(object, loc, &shim_span, trace));
-            const int64_t size = t.ByteSize();
-            return std::make_pair(
-                std::make_shared<const relational::Table>(std::move(t)), size);
-          },
-          [&]() { return catalog_.SnapshotIsCurrent(object, snap); },
-          ActiveCtx(), &outcome, &bytes);
-  StampCacheOutcome(outcome, bytes, cached.ok(), &shim_span, trace);
-  if (!cached.ok()) return cached.status();
-  return **cached;
+  Result<T> r = CachedRead<T>(
+      cast_cache_,
+      CastCacheKey{object, snap.instance_id, snap.version, Traits::kTarget, ""},
+      [&] { return FetchRouted<T>(object, loc, &shim_span, trace); },
+      [&] { return catalog_.SnapshotIsCurrent(object, snap); }, ActiveCtx(),
+      &outcome, &bytes);
+  StampCacheOutcome(outcome, bytes, r.ok(), &shim_span, trace);
+  return r;
 }
 
-Result<array::Array> BigDawg::FetchArrayRouted(const std::string& object,
-                                               const ObjectLocation& loc,
-                                               obs::SpanGuard* shim_span,
-                                               obs::Trace* trace) {
-  if (EngineConsideredDown(loc.engine)) {
-    // Model-matched failover first: a fresh scidb replica serves the
-    // array natively; otherwise any fresh replica serves via the shim.
-    if (loc.engine != kEngineSciDb &&
-        catalog_.ReplicaIsFresh(object, kEngineSciDb) &&
-        !EngineConsideredDown(kEngineSciDb)) {
-      BIGDAWG_ASSIGN_OR_RETURN(ReplicaLocation replica,
-                               catalog_.ReplicaOn(object, kEngineSciDb));
-      obs::SpanGuard failover_span(trace, "failover");
-      if (trace != nullptr) {
-        failover_span.Tag("from", loc.engine);
-        failover_span.Tag("to", kEngineSciDb);
-      }
-      BIGDAWG_RETURN_NOT_OK(CheckEngine(kEngineSciDb));
-      monitor_.RecordFailover(loc.engine);
-      if (ActiveCtx() != nullptr) ++ActiveCtx()->failovers;
-      return array_.GetArray(replica.native_name);
-    }
-    BIGDAWG_ASSIGN_OR_RETURN(relational::Table t, FailoverFetch(object, loc));
-    return TableToArray(t);
-  }
-  if (loc.engine == kEngineSciDb) {
-    BIGDAWG_RETURN_NOT_OK(CheckEngine(kEngineSciDb));
-    return array_.GetArray(loc.native_name);
-  }
-  // Prefer a fresh array replica over shimming the primary.
-  if (catalog_.ReplicaIsFresh(object, kEngineSciDb) &&
-      !EngineConsideredDown(kEngineSciDb)) {
-    BIGDAWG_ASSIGN_OR_RETURN(ReplicaLocation replica,
-                             catalog_.ReplicaOn(object, kEngineSciDb));
-    BIGDAWG_RETURN_NOT_OK(CheckEngine(kEngineSciDb));
-    if (trace != nullptr) shim_span->Tag("replica", kEngineSciDb);
-    return array_.GetArray(replica.native_name);
-  }
-  if (loc.engine == kEngineTileDb) {
-    BIGDAWG_RETURN_NOT_OK(CheckEngine(kEngineTileDb));
-    BIGDAWG_ASSIGN_OR_RETURN(tiledb::TileDbArray m, tiledb_.GetArray(loc.native_name));
-    return TileMatrixToArray(m);
-  }
-  if (loc.engine == kEngineD4m) {
-    BIGDAWG_RETURN_NOT_OK(CheckEngine(kEngineD4m));
-    std::shared_lock lock(assoc_mu_);
-    auto it = assoc_store_.find(loc.native_name);
-    if (it == assoc_store_.end()) {
-      return Status::Internal("catalog points at missing assoc object: " + object);
-    }
-    return AssocToArray(it->second);
-  }
-  BIGDAWG_ASSIGN_OR_RETURN(relational::Table t, FetchAsTable(object));
-  return TableToArray(t);
+Result<relational::Table> BigDawg::FetchAsTable(const std::string& object) {
+  return FetchAs<relational::Table>(object);
 }
 
 Result<array::Array> BigDawg::FetchAsArray(const std::string& object) {
-  Result<ObjectSnapshot> before = catalog_.Snapshot(object);
-  for (int attempt = 0;; ++attempt) {
-    Result<array::Array> r = FetchAsArrayOnce(object);
-    if (r.ok() || r.status().code() != StatusCode::kNotFound ||
-        attempt >= 4) {
-      return r;
-    }
-    Result<ObjectSnapshot> now = catalog_.Snapshot(object);
-    if (!before.ok() || !now.ok() ||
-        now->placement.epoch == before->placement.epoch) {
-      return r;
-    }
-    before = std::move(now);
-  }
-}
-
-Result<array::Array> BigDawg::FetchAsArrayOnce(const std::string& object) {
-  obs::Trace* trace = ActiveCtx() != nullptr ? ActiveCtx()->trace : nullptr;
-  obs::SpanGuard shim_span(trace, "shim:array");
-  if (trace != nullptr) shim_span.Tag("object", object);
-  BIGDAWG_ASSIGN_OR_RETURN(ObjectSnapshot snap, catalog_.Snapshot(object));
-  const ObjectLocation& loc = snap.location;
-  if (trace != nullptr) shim_span.Tag("engine", loc.engine);
-  if (snap.placement.sharded()) {
-    if (trace != nullptr) shim_span.Tag("sharded", "true");
-    if (loc.engine == kEngineSciDb) {
-      return GatherShardedArray(object, snap);
-    }
-    if (loc.engine == kEnginePostgres) {
-      BIGDAWG_ASSIGN_OR_RETURN(relational::Table t,
-                               GatherShardedTable(object, snap));
-      return TableToArray(t);
-    }
-    if (loc.engine == kEngineD4m) {
-      BIGDAWG_ASSIGN_OR_RETURN(d4m::AssocArray a,
-                               GatherShardedAssoc(object, snap));
-      return AssocToArray(a);
-    }
-    return Status::Internal("sharded object on unshardable engine: " +
-                            loc.engine);
-  }
-  // A scidb-homed array is a native read; no conversion to cache.
-  if (!cast_cache_.enabled() || loc.engine == kEngineSciDb ||
-      IsCastTemp(object)) {
-    return FetchArrayRouted(object, loc, &shim_span, trace);
-  }
-  CastCacheKey key{object, snap.instance_id, snap.version, CastTarget::kArray,
-                   ""};
-  CastCacheOutcome outcome = CastCacheOutcome::kMiss;
-  int64_t bytes = 0;
-  Result<std::shared_ptr<const array::Array>> cached =
-      cast_cache_.GetOrCompute<array::Array>(
-          key,
-          [&]() -> Result<
-                    std::pair<std::shared_ptr<const array::Array>, int64_t>> {
-            BIGDAWG_ASSIGN_OR_RETURN(
-                array::Array a, FetchArrayRouted(object, loc, &shim_span, trace));
-            const int64_t size = a.ByteSize();
-            return std::make_pair(
-                std::make_shared<const array::Array>(std::move(a)), size);
-          },
-          [&]() { return catalog_.SnapshotIsCurrent(object, snap); },
-          ActiveCtx(), &outcome, &bytes);
-  StampCacheOutcome(outcome, bytes, cached.ok(), &shim_span, trace);
-  if (!cached.ok()) return cached.status();
-  return **cached;
-}
-
-Result<d4m::AssocArray> BigDawg::FetchAssocRouted(const std::string& object,
-                                                  const ObjectLocation& loc) {
-  if (EngineConsideredDown(loc.engine)) {
-    BIGDAWG_ASSIGN_OR_RETURN(relational::Table t, FailoverFetch(object, loc));
-    return TableToAssoc(t);
-  }
-  if (loc.engine == kEngineD4m) {
-    BIGDAWG_RETURN_NOT_OK(CheckEngine(kEngineD4m));
-    std::shared_lock lock(assoc_mu_);
-    auto it = assoc_store_.find(loc.native_name);
-    if (it == assoc_store_.end()) {
-      return Status::Internal("catalog points at missing assoc object: " + object);
-    }
-    return it->second;
-  }
-  if (loc.engine == kEngineAccumulo) {
-    BIGDAWG_RETURN_NOT_OK(CheckEngine(kEngineAccumulo));
-    // The D4M view of a text corpus: the term x document incidence
-    // associative array (row = term, col = doc id, value = tf).
-    d4m::AssocArray out;
-    kvstore::ScanOptions options;
-    options.family = "idx";
-    text_.backing_store().ApplyToRange(options, [&out](const kvstore::Cell& cell) {
-      // Rows are "term:<t>".
-      std::string term = cell.key.row.substr(5);
-      out.Set(term, cell.key.qualifier,
-              Value(std::strtod(cell.value.c_str(), nullptr)));
-      return true;
-    });
-    return out;
-  }
-  BIGDAWG_ASSIGN_OR_RETURN(relational::Table t, FetchAsTable(object));
-  return TableToAssoc(t);
+  return FetchAs<array::Array>(object);
 }
 
 Result<d4m::AssocArray> BigDawg::FetchAsAssoc(const std::string& object) {
-  Result<ObjectSnapshot> before = catalog_.Snapshot(object);
-  for (int attempt = 0;; ++attempt) {
-    Result<d4m::AssocArray> r = FetchAsAssocOnce(object);
-    if (r.ok() || r.status().code() != StatusCode::kNotFound ||
-        attempt >= 4) {
-      return r;
-    }
-    Result<ObjectSnapshot> now = catalog_.Snapshot(object);
-    if (!before.ok() || !now.ok() ||
-        now->placement.epoch == before->placement.epoch) {
-      return r;
-    }
-    before = std::move(now);
-  }
-}
-
-Result<d4m::AssocArray> BigDawg::FetchAsAssocOnce(const std::string& object) {
-  obs::Trace* trace = ActiveCtx() != nullptr ? ActiveCtx()->trace : nullptr;
-  obs::SpanGuard shim_span(trace, "shim:assoc");
-  if (trace != nullptr) shim_span.Tag("object", object);
-  BIGDAWG_ASSIGN_OR_RETURN(ObjectSnapshot snap, catalog_.Snapshot(object));
-  const ObjectLocation& loc = snap.location;
-  if (trace != nullptr) shim_span.Tag("engine", loc.engine);
-  if (snap.placement.sharded()) {
-    if (trace != nullptr) shim_span.Tag("sharded", "true");
-    if (loc.engine == kEngineD4m) {
-      return GatherShardedAssoc(object, snap);
-    }
-    if (loc.engine == kEnginePostgres) {
-      BIGDAWG_ASSIGN_OR_RETURN(relational::Table t,
-                               GatherShardedTable(object, snap));
-      return TableToAssoc(t);
-    }
-    if (loc.engine == kEngineSciDb) {
-      BIGDAWG_ASSIGN_OR_RETURN(array::Array a, GatherShardedArray(object, snap));
-      BIGDAWG_ASSIGN_OR_RETURN(relational::Table t, ArrayToTable(a));
-      return TableToAssoc(t);
-    }
-    return Status::Internal("sharded object on unshardable engine: " +
-                            loc.engine);
-  }
-  // A d4m-homed associative array is a native read; no conversion to
-  // cache. (The accumulo term x document incidence build, by contrast, is
-  // O(corpus) and one of the cache's best customers.)
-  if (!cast_cache_.enabled() || loc.engine == kEngineD4m ||
-      IsCastTemp(object)) {
-    return FetchAssocRouted(object, loc);
-  }
-  CastCacheKey key{object, snap.instance_id, snap.version, CastTarget::kAssoc,
-                   ""};
-  CastCacheOutcome outcome = CastCacheOutcome::kMiss;
-  int64_t bytes = 0;
-  Result<std::shared_ptr<const d4m::AssocArray>> cached =
-      cast_cache_.GetOrCompute<d4m::AssocArray>(
-          key,
-          [&]() -> Result<
-                    std::pair<std::shared_ptr<const d4m::AssocArray>, int64_t>> {
-            BIGDAWG_ASSIGN_OR_RETURN(d4m::AssocArray a,
-                                     FetchAssocRouted(object, loc));
-            const int64_t size = a.ByteSize();
-            return std::make_pair(
-                std::make_shared<const d4m::AssocArray>(std::move(a)), size);
-          },
-          [&]() { return catalog_.SnapshotIsCurrent(object, snap); },
-          ActiveCtx(), &outcome, &bytes);
-  StampCacheOutcome(outcome, bytes, cached.ok(), &shim_span, trace);
-  if (!cached.ok()) return cached.status();
-  return **cached;
+  return FetchAs<d4m::AssocArray>(object);
 }
 
 // ---------------------------------------------------------------------------
@@ -591,49 +625,9 @@ Result<d4m::AssocArray> BigDawg::FetchAsAssocOnce(const std::string& object) {
 
 Status BigDawg::StoreTableAs(const relational::Table& table, DataModel model,
                              const std::string& object, ExecContext* temp_owner) {
-  switch (model) {
-    case DataModel::kRelation:
-      BIGDAWG_RETURN_NOT_OK(CheckEngine(kEnginePostgres));
-      break;
-    case DataModel::kArray:
-      BIGDAWG_RETURN_NOT_OK(CheckEngine(kEngineSciDb));
-      break;
-    case DataModel::kAssociative:
-      BIGDAWG_RETURN_NOT_OK(CheckEngine(kEngineD4m));
-      break;
-    case DataModel::kTileMatrix:
-      BIGDAWG_RETURN_NOT_OK(CheckEngine(kEngineTileDb));
-      break;
-  }
-  switch (model) {
-    case DataModel::kRelation: {
-      BIGDAWG_RETURN_NOT_OK(relational_.PutTable(object, table));
-      BIGDAWG_RETURN_NOT_OK(catalog_.Register({object, kEnginePostgres, object}));
-      break;
-    }
-    case DataModel::kArray: {
-      BIGDAWG_ASSIGN_OR_RETURN(array::Array a, TableToArray(table));
-      BIGDAWG_RETURN_NOT_OK(array_.PutArray(object, std::move(a)));
-      BIGDAWG_RETURN_NOT_OK(catalog_.Register({object, kEngineSciDb, object}));
-      break;
-    }
-    case DataModel::kAssociative: {
-      BIGDAWG_ASSIGN_OR_RETURN(d4m::AssocArray a, TableToAssoc(table));
-      {
-        std::unique_lock lock(assoc_mu_);
-        assoc_store_[object] = std::move(a);
-      }
-      BIGDAWG_RETURN_NOT_OK(catalog_.Register({object, kEngineD4m, object}));
-      break;
-    }
-    case DataModel::kTileMatrix: {
-      BIGDAWG_ASSIGN_OR_RETURN(array::Array a, TableToArray(table));
-      BIGDAWG_ASSIGN_OR_RETURN(tiledb::TileDbArray m, ArrayToTileMatrix(a));
-      BIGDAWG_RETURN_NOT_OK(tiledb_.PutArray(object, std::move(m)));
-      BIGDAWG_RETURN_NOT_OK(catalog_.Register({object, kEngineTileDb, object}));
-      break;
-    }
-  }
+  const char* engine = EngineForModel(model);
+  BIGDAWG_RETURN_NOT_OK(StoreTableOnEngine(table, engine, object));
+  BIGDAWG_RETURN_NOT_OK(catalog_.Register({object, engine, object}));
   if (temp_owner != nullptr) temp_owner->temporaries.push_back(object);
   return Status::OK();
 }
@@ -677,8 +671,7 @@ Status BigDawg::StoreTableOnEngine(const relational::Table& table,
   }
   if (engine == kEngineD4m) {
     BIGDAWG_ASSIGN_OR_RETURN(d4m::AssocArray a, TableToAssoc(table));
-    std::unique_lock lock(assoc_mu_);
-    assoc_store_[native] = std::move(a);
+    assoc_store_.Put(native, std::move(a));
     return Status::OK();
   }
   return Status::InvalidArgument("unsupported storage engine: " + engine);
@@ -688,10 +681,7 @@ void BigDawg::DropPhysical(const std::string& engine, const std::string& native)
   if (engine == kEnginePostgres) (void)relational_.DropTable(native);
   if (engine == kEngineSciDb) (void)array_.RemoveArray(native);
   if (engine == kEngineTileDb) (void)tiledb_.RemoveArray(native);
-  if (engine == kEngineD4m) {
-    std::unique_lock lock(assoc_mu_);
-    assoc_store_.erase(native);
-  }
+  if (engine == kEngineD4m) assoc_store_.Erase(native);
 }
 
 Status BigDawg::MigrateObject(const std::string& object,
@@ -789,147 +779,60 @@ Result<int64_t> BigDawg::RefreshReplicas(const std::string& object) {
 // Sharded objects: scatter-gather reads
 // ---------------------------------------------------------------------------
 
-Result<relational::Table> BigDawg::FetchTableFragment(const std::string& object,
-                                                      const ObjectSnapshot& snap,
-                                                      int shard) {
-  const std::string& engine = snap.location.engine;
-  const std::string instance = ShardInstanceName(engine, shard);
+template <typename T>
+Result<T> BigDawg::FetchFragment(const std::string& object,
+                                 const ObjectSnapshot& snap, int shard) {
+  using Traits = ModelTraits<T>;
+  const std::string instance = ShardInstanceName(snap.location.engine, shard);
   if (EngineConsideredDown(instance)) {
     return Status::Unavailable("shard instance " + instance + " is down");
   }
   BIGDAWG_RETURN_NOT_OK(CheckEngine(instance));
   const std::string frag =
       ShardFragmentName(snap.location.native_name, snap.placement.epoch, shard);
-  if (!cast_cache_.enabled() || IsCastTemp(object)) {
-    return shard_runtime_.Relational(shard)->GetTable(frag);
-  }
+  auto read = [&] {
+    return Traits::Read(Traits::Instance(shard_runtime_, shard), frag);
+  };
+  if (!cast_cache_.enabled() || IsCastTemp(object)) return read();
   // Fragment reads key the cache on THAT shard's write version (params
   // carry the shard/epoch so two shards of one object never collide):
   // writing or migrating shard 3 invalidates only shard 3's entry and
   // the other shards stay warm.
   CastCacheKey key{object, snap.instance_id,
                    snap.placement.shard_versions[static_cast<size_t>(shard)],
-                   CastTarget::kTable,
+                   Traits::kTarget,
                    "s" + std::to_string(shard) + "@e" +
                        std::to_string(snap.placement.epoch)};
   CastCacheOutcome outcome = CastCacheOutcome::kMiss;
-  int64_t bytes = 0;
-  Result<std::shared_ptr<const relational::Table>> cached =
-      cast_cache_.GetOrCompute<relational::Table>(
-          key,
-          [&]() -> Result<
-                    std::pair<std::shared_ptr<const relational::Table>, int64_t>> {
-            BIGDAWG_ASSIGN_OR_RETURN(
-                relational::Table t, shard_runtime_.Relational(shard)->GetTable(frag));
-            const int64_t size = t.ByteSize();
-            return std::make_pair(
-                std::make_shared<const relational::Table>(std::move(t)), size);
-          },
-          [&]() { return catalog_.ShardStateIsCurrent(object, snap, shard); },
-          // Fragment fetches run on pool threads where no ExecContext is
-          // installed; single-flight waiting still coalesces by key.
-          nullptr, &outcome, &bytes);
-  if (!cached.ok()) return cached.status();
-  return **cached;
+  return CachedRead<T>(
+      cast_cache_, key, read,
+      [&] { return catalog_.ShardStateIsCurrent(object, snap, shard); },
+      // Fragment fetches run on pool threads where no ExecContext is
+      // installed; single-flight waiting still coalesces by key.
+      nullptr, &outcome, nullptr);
 }
 
-Result<array::Array> BigDawg::FetchArrayFragment(const std::string& object,
-                                                 const ObjectSnapshot& snap,
-                                                 int shard) {
-  const std::string& engine = snap.location.engine;
-  const std::string instance = ShardInstanceName(engine, shard);
-  if (EngineConsideredDown(instance)) {
-    return Status::Unavailable("shard instance " + instance + " is down");
-  }
-  BIGDAWG_RETURN_NOT_OK(CheckEngine(instance));
-  const std::string frag =
-      ShardFragmentName(snap.location.native_name, snap.placement.epoch, shard);
-  if (!cast_cache_.enabled() || IsCastTemp(object)) {
-    return shard_runtime_.ArrayAt(shard)->GetArray(frag);
-  }
-  CastCacheKey key{object, snap.instance_id,
-                   snap.placement.shard_versions[static_cast<size_t>(shard)],
-                   CastTarget::kArray,
-                   "s" + std::to_string(shard) + "@e" +
-                       std::to_string(snap.placement.epoch)};
-  CastCacheOutcome outcome = CastCacheOutcome::kMiss;
-  int64_t bytes = 0;
-  Result<std::shared_ptr<const array::Array>> cached =
-      cast_cache_.GetOrCompute<array::Array>(
-          key,
-          [&]() -> Result<
-                    std::pair<std::shared_ptr<const array::Array>, int64_t>> {
-            BIGDAWG_ASSIGN_OR_RETURN(array::Array a,
-                                     shard_runtime_.ArrayAt(shard)->GetArray(frag));
-            const int64_t size = a.ByteSize();
-            return std::make_pair(
-                std::make_shared<const array::Array>(std::move(a)), size);
-          },
-          [&]() { return catalog_.ShardStateIsCurrent(object, snap, shard); },
-          nullptr, &outcome, &bytes);
-  if (!cached.ok()) return cached.status();
-  return **cached;
-}
-
-Result<d4m::AssocArray> BigDawg::FetchAssocFragment(const std::string& object,
-                                                    const ObjectSnapshot& snap,
-                                                    int shard) {
-  const std::string& engine = snap.location.engine;
-  const std::string instance = ShardInstanceName(engine, shard);
-  if (EngineConsideredDown(instance)) {
-    return Status::Unavailable("shard instance " + instance + " is down");
-  }
-  BIGDAWG_RETURN_NOT_OK(CheckEngine(instance));
-  const std::string frag =
-      ShardFragmentName(snap.location.native_name, snap.placement.epoch, shard);
-  if (!cast_cache_.enabled() || IsCastTemp(object)) {
-    return shard_runtime_.AssocAt(shard)->Get(frag);
-  }
-  CastCacheKey key{object, snap.instance_id,
-                   snap.placement.shard_versions[static_cast<size_t>(shard)],
-                   CastTarget::kAssoc,
-                   "s" + std::to_string(shard) + "@e" +
-                       std::to_string(snap.placement.epoch)};
-  CastCacheOutcome outcome = CastCacheOutcome::kMiss;
-  int64_t bytes = 0;
-  Result<std::shared_ptr<const d4m::AssocArray>> cached =
-      cast_cache_.GetOrCompute<d4m::AssocArray>(
-          key,
-          [&]() -> Result<
-                    std::pair<std::shared_ptr<const d4m::AssocArray>, int64_t>> {
-            BIGDAWG_ASSIGN_OR_RETURN(d4m::AssocArray a,
-                                     shard_runtime_.AssocAt(shard)->Get(frag));
-            const int64_t size = a.ByteSize();
-            return std::make_pair(
-                std::make_shared<const d4m::AssocArray>(std::move(a)), size);
-          },
-          [&]() { return catalog_.ShardStateIsCurrent(object, snap, shard); },
-          nullptr, &outcome, &bytes);
-  if (!cached.ok()) return cached.status();
-  return **cached;
-}
-
-Result<relational::Table> BigDawg::GatherShardedTable(
-    const std::string& object, const ObjectSnapshot& snap) {
+template <typename T>
+Result<T> BigDawg::GatherSharded(const std::string& object,
+                                 const ObjectSnapshot& snap) {
   // The trace lives on the gather thread only: obs::Trace is not
   // thread-safe, so pool tasks never touch it.
   obs::Trace* trace = ActiveCtx() != nullptr ? ActiveCtx()->trace : nullptr;
-  obs::SpanGuard span(trace, "scatter:table");
+  obs::SpanGuard span(trace, ModelTraits<T>::kScatterSpan);
   if (trace != nullptr) {
     span.Tag("object", object);
     span.Tag("shards", std::to_string(snap.placement.shard_count));
     span.Tag("epoch", std::to_string(snap.placement.epoch));
   }
   int failed_shard = -1;
-  Result<std::vector<relational::Table>> frags =
-      shard_runtime_.ScatterGather<relational::Table>(
-          snap.placement.shard_count,
-          // By value: a failed gather returns before abandoned tasks
-          // (and hedges) drain, so the lambda must own its state.
-          [this, object, snap](int shard) {
-            return FetchTableFragment(object, snap, shard);
-          },
-          &failed_shard);
+  Result<std::vector<T>> frags = shard_runtime_.ScatterGather<T>(
+      snap.placement.shard_count,
+      // By value: a failed gather returns before abandoned tasks
+      // (and hedges) drain, so the lambda must own its state.
+      [this, object, snap](int shard) {
+        return FetchFragment<T>(object, snap, shard);
+      },
+      &failed_shard);
   if (frags.ok()) {
     if (!catalog_.PlacementIsCurrent(object, snap)) {
       // A repartition raced the scatter; surface NotFound so the fetch
@@ -938,84 +841,14 @@ Result<relational::Table> BigDawg::GatherShardedTable(
       return Status::NotFound("placement of " + object +
                               " changed during gather");
     }
-    return MergeTableFragments(std::move(*frags));
+    return ModelTraits<T>::Merge(std::move(*frags));
   }
   if (trace != nullptr) span.Tag("error", frags.status().message());
   if (frags.status().code() != StatusCode::kUnavailable) return frags.status();
   // Partial results are never served. A replicated object can still
   // answer whole from a fresh replica; otherwise the failure is typed.
   Result<relational::Table> failover = FailoverFetch(object, snap.location);
-  if (failover.ok()) return failover;
-  if (failed_shard >= 0 && ActiveCtx() != nullptr) {
-    ActiveCtx()->unavailable_engine =
-        ShardInstanceName(snap.location.engine, failed_shard);
-  }
-  return frags.status();
-}
-
-Result<array::Array> BigDawg::GatherShardedArray(const std::string& object,
-                                                 const ObjectSnapshot& snap) {
-  obs::Trace* trace = ActiveCtx() != nullptr ? ActiveCtx()->trace : nullptr;
-  obs::SpanGuard span(trace, "scatter:array");
-  if (trace != nullptr) {
-    span.Tag("object", object);
-    span.Tag("shards", std::to_string(snap.placement.shard_count));
-    span.Tag("epoch", std::to_string(snap.placement.epoch));
-  }
-  int failed_shard = -1;
-  Result<std::vector<array::Array>> frags =
-      shard_runtime_.ScatterGather<array::Array>(
-          snap.placement.shard_count,
-          [this, object, snap](int shard) {
-            return FetchArrayFragment(object, snap, shard);
-          },
-          &failed_shard);
-  if (frags.ok()) {
-    if (!catalog_.PlacementIsCurrent(object, snap)) {
-      return Status::NotFound("placement of " + object +
-                              " changed during gather");
-    }
-    return MergeArrayFragments(std::move(*frags));
-  }
-  if (trace != nullptr) span.Tag("error", frags.status().message());
-  if (frags.status().code() != StatusCode::kUnavailable) return frags.status();
-  Result<relational::Table> failover = FailoverFetch(object, snap.location);
-  if (failover.ok()) return TableToArray(*failover);
-  if (failed_shard >= 0 && ActiveCtx() != nullptr) {
-    ActiveCtx()->unavailable_engine =
-        ShardInstanceName(snap.location.engine, failed_shard);
-  }
-  return frags.status();
-}
-
-Result<d4m::AssocArray> BigDawg::GatherShardedAssoc(const std::string& object,
-                                                    const ObjectSnapshot& snap) {
-  obs::Trace* trace = ActiveCtx() != nullptr ? ActiveCtx()->trace : nullptr;
-  obs::SpanGuard span(trace, "scatter:assoc");
-  if (trace != nullptr) {
-    span.Tag("object", object);
-    span.Tag("shards", std::to_string(snap.placement.shard_count));
-    span.Tag("epoch", std::to_string(snap.placement.epoch));
-  }
-  int failed_shard = -1;
-  Result<std::vector<d4m::AssocArray>> frags =
-      shard_runtime_.ScatterGather<d4m::AssocArray>(
-          snap.placement.shard_count,
-          [this, object, snap](int shard) {
-            return FetchAssocFragment(object, snap, shard);
-          },
-          &failed_shard);
-  if (frags.ok()) {
-    if (!catalog_.PlacementIsCurrent(object, snap)) {
-      return Status::NotFound("placement of " + object +
-                              " changed during gather");
-    }
-    return MergeAssocFragments(std::move(*frags));
-  }
-  if (trace != nullptr) span.Tag("error", frags.status().message());
-  if (frags.status().code() != StatusCode::kUnavailable) return frags.status();
-  Result<relational::Table> failover = FailoverFetch(object, snap.location);
-  if (failover.ok()) return TableToAssoc(*failover);
+  if (failover.ok()) return Convert<T>(std::move(*failover));
   if (failed_shard >= 0 && ActiveCtx() != nullptr) {
     ActiveCtx()->unavailable_engine =
         ShardInstanceName(snap.location.engine, failed_shard);
@@ -1039,46 +872,28 @@ int BigDawg::DefaultShardCount() {
   return 4;
 }
 
-Result<relational::Table> BigDawg::FetchWholeTableForShard(
-    const ObjectSnapshot& snap, const std::string& object) {
-  if (snap.placement.sharded()) return GatherShardedTable(object, snap);
-  BIGDAWG_RETURN_NOT_OK(CheckEngine(snap.location.engine));
-  return relational_.GetTable(snap.location.native_name);
-}
-
-Status BigDawg::StoreFragment(const std::string& engine, int shard,
-                              const std::string& native,
-                              const relational::Table* table,
-                              const array::Array* array,
-                              const d4m::AssocArray* assoc) {
+template <typename T>
+Status BigDawg::StoreFragment(int shard, const std::string& native,
+                              const T& fragment) {
+  using Traits = ModelTraits<T>;
   // Writes never fail over: a down shard instance fails the store.
-  BIGDAWG_RETURN_NOT_OK(shard_runtime_.CheckInstance(engine, shard));
-  if (engine == kEnginePostgres && table != nullptr) {
-    return shard_runtime_.Relational(shard)->PutTable(native, *table);
-  }
-  if (engine == kEngineSciDb && array != nullptr) {
-    return shard_runtime_.ArrayAt(shard)->PutArray(native, *array);
-  }
-  if (engine == kEngineD4m && assoc != nullptr) {
-    shard_runtime_.AssocAt(shard)->Put(native, *assoc);
-    return Status::OK();
-  }
-  return Status::Internal("StoreFragment: engine/payload mismatch for " +
-                          engine);
+  BIGDAWG_RETURN_NOT_OK(shard_runtime_.CheckInstance(Traits::kHome, shard));
+  return Traits::Write(Traits::Instance(shard_runtime_, shard), native, fragment);
 }
 
 void BigDawg::DropFragments(const std::string& engine, const std::string& native,
                             const ShardPlacement& placement) {
-  for (int i = 0; i < placement.shard_count; ++i) {
-    const std::string frag = ShardFragmentName(native, placement.epoch, i);
-    if (engine == kEnginePostgres) {
-      (void)shard_runtime_.Relational(i)->DropTable(frag);
-    } else if (engine == kEngineSciDb) {
-      (void)shard_runtime_.ArrayAt(i)->RemoveArray(frag);
-    } else if (engine == kEngineD4m) {
-      shard_runtime_.AssocAt(i)->Erase(frag);
-    }
-  }
+  (void)VisitShardModel(
+      engine,
+      [&](auto traits) {
+        using Traits = decltype(traits);
+        for (int i = 0; i < placement.shard_count; ++i) {
+          Traits::Erase(Traits::Instance(shard_runtime_, i),
+                        ShardFragmentName(native, placement.epoch, i));
+        }
+        return Status::OK();
+      },
+      Status::OK());
 }
 
 Status BigDawg::ShardObject(const std::string& object) {
@@ -1100,89 +915,30 @@ Status BigDawg::ShardObject(const std::string& object, int shard_count,
   placement.shard_count = shard_count;
   placement.epoch = snap.placement.epoch + 1;
 
-  if (engine == kEnginePostgres) {
-    BIGDAWG_ASSIGN_OR_RETURN(relational::Table whole,
-                             FetchWholeTableForShard(snap, object));
-    if (whole.schema().num_fields() == 0) {
-      return Status::InvalidArgument("table has no columns to shard on");
-    }
-    placement.kind = PartitionKind::kHash;
-    placement.key = key.empty() ? whole.schema().field(0).name : key;
-    BIGDAWG_ASSIGN_OR_RETURN(std::vector<relational::Table> frags,
-                             PartitionTable(whole, placement));
-    for (int i = 0; i < shard_count; ++i) {
-      BIGDAWG_RETURN_NOT_OK(StoreFragment(
-          engine, i,
-          ShardFragmentName(snap.location.native_name, placement.epoch, i),
-          &frags[static_cast<size_t>(i)], nullptr, nullptr));
-    }
-  } else if (engine == kEngineSciDb) {
-    Result<array::Array> whole_r =
-        snap.placement.sharded()
-            ? GatherShardedArray(object, snap)
-            : [&]() -> Result<array::Array> {
-                BIGDAWG_RETURN_NOT_OK(CheckEngine(engine));
-                return array_.GetArray(snap.location.native_name);
-              }();
-    BIGDAWG_RETURN_NOT_OK(whole_r.status());
-    const array::Array& whole = *whole_r;
-    if (whole.num_dims() == 0) {
-      return Status::InvalidArgument("array has no dimensions to shard on");
-    }
-    placement.kind = PartitionKind::kRange;
-    placement.key = key.empty() ? whole.dims()[0].name : key;
-    size_t dim_idx = whole.num_dims();
-    for (size_t d = 0; d < whole.num_dims(); ++d) {
-      if (whole.dims()[d].name == placement.key) {
-        dim_idx = d;
-        break;
-      }
-    }
-    if (dim_idx == whole.num_dims()) {
-      return Status::InvalidArgument("no dimension named " + placement.key);
-    }
-    const array::Dimension& dim = whole.dims()[dim_idx];
-    for (int j = 0; j < shard_count - 1; ++j) {
-      placement.range_splits.push_back(
-          dim.start + (dim.length * (j + 1)) / shard_count);
-    }
-    BIGDAWG_ASSIGN_OR_RETURN(std::vector<array::Array> frags,
-                             PartitionArray(whole, placement));
-    for (int i = 0; i < shard_count; ++i) {
-      BIGDAWG_RETURN_NOT_OK(StoreFragment(
-          engine, i,
-          ShardFragmentName(snap.location.native_name, placement.epoch, i),
-          nullptr, &frags[static_cast<size_t>(i)], nullptr));
-    }
-  } else if (engine == kEngineD4m) {
-    Result<d4m::AssocArray> whole_r =
-        snap.placement.sharded()
-            ? GatherShardedAssoc(object, snap)
-            : [&]() -> Result<d4m::AssocArray> {
-                BIGDAWG_RETURN_NOT_OK(CheckEngine(engine));
-                std::shared_lock lock(assoc_mu_);
-                auto it = assoc_store_.find(snap.location.native_name);
-                if (it == assoc_store_.end()) {
-                  return Status::NotFound("no assoc object named " + object);
-                }
-                return it->second;
-              }();
-    BIGDAWG_RETURN_NOT_OK(whole_r.status());
-    placement.kind = PartitionKind::kHash;
-    placement.key = key.empty() ? "row" : key;
-    BIGDAWG_ASSIGN_OR_RETURN(std::vector<d4m::AssocArray> frags,
-                             PartitionAssoc(*whole_r, placement));
-    for (int i = 0; i < shard_count; ++i) {
-      BIGDAWG_RETURN_NOT_OK(StoreFragment(
-          engine, i,
-          ShardFragmentName(snap.location.native_name, placement.epoch, i),
-          nullptr, nullptr, &frags[static_cast<size_t>(i)]));
-    }
-  } else {
-    return Status::InvalidArgument(
-        "only postgres/scidb/d4m-homed objects can be sharded (object " +
-        object + " lives on " + engine + ")");
-  }
+  BIGDAWG_RETURN_NOT_OK(VisitShardModel(
+      engine,
+      [&](auto traits) -> Status {
+        using Traits = decltype(traits);
+        using T = typename Traits::Model;
+        // The whole object in its home model, bypassing islands.
+        Result<T> whole = [&]() -> Result<T> {
+          if (snap.placement.sharded()) return GatherSharded<T>(object, snap);
+          BIGDAWG_RETURN_NOT_OK(CheckEngine(engine));
+          return Traits::Read(Traits::Home(*this), snap.location.native_name);
+        }();
+        BIGDAWG_RETURN_NOT_OK(whole.status());
+        BIGDAWG_ASSIGN_OR_RETURN(std::vector<T> frags,
+                                 Traits::Partition(*whole, key, &placement));
+        for (int i = 0; i < shard_count; ++i) {
+          BIGDAWG_RETURN_NOT_OK(StoreFragment(
+              i, ShardFragmentName(snap.location.native_name, placement.epoch, i),
+              frags[static_cast<size_t>(i)]));
+        }
+        return Status::OK();
+      },
+      Status::InvalidArgument(
+          "only postgres/scidb/d4m-homed objects can be sharded (object " +
+          object + " lives on " + engine + ")")));
 
   // New-epoch fragments are fully written; the placement swap makes them
   // visible atomically, and only then is the old layout retired.
@@ -1202,24 +958,17 @@ Status BigDawg::UnshardObject(const std::string& object) {
   if (!snap.placement.sharded()) return Status::OK();
   const std::string& engine = snap.location.engine;
   BIGDAWG_RETURN_NOT_OK(CheckEngine(engine));
-  if (engine == kEnginePostgres) {
-    BIGDAWG_ASSIGN_OR_RETURN(relational::Table whole,
-                             GatherShardedTable(object, snap));
-    BIGDAWG_RETURN_NOT_OK(
-        relational_.PutTable(snap.location.native_name, std::move(whole)));
-  } else if (engine == kEngineSciDb) {
-    BIGDAWG_ASSIGN_OR_RETURN(array::Array whole,
-                             GatherShardedArray(object, snap));
-    BIGDAWG_RETURN_NOT_OK(
-        array_.PutArray(snap.location.native_name, std::move(whole)));
-  } else if (engine == kEngineD4m) {
-    BIGDAWG_ASSIGN_OR_RETURN(d4m::AssocArray whole,
-                             GatherShardedAssoc(object, snap));
-    std::unique_lock lock(assoc_mu_);
-    assoc_store_[snap.location.native_name] = std::move(whole);
-  } else {
-    return Status::Internal("sharded object on unshardable engine: " + engine);
-  }
+  BIGDAWG_RETURN_NOT_OK(VisitShardModel(
+      engine,
+      [&](auto traits) -> Status {
+        using Traits = decltype(traits);
+        BIGDAWG_ASSIGN_OR_RETURN(
+            typename Traits::Model whole,
+            GatherSharded<typename Traits::Model>(object, snap));
+        return Traits::Write(Traits::Home(*this), snap.location.native_name,
+                             std::move(whole));
+      },
+      Status::Internal("sharded object on unshardable engine: " + engine)));
   BIGDAWG_RETURN_NOT_OK(catalog_.RemovePlacement(object));
   shard_runtime_.stats().repartitions.fetch_add(1, std::memory_order_relaxed);
   DropFragments(engine, snap.location.native_name, snap.placement);
@@ -1265,17 +1014,14 @@ Status BigDawg::StoreStreamHistory(const std::string& object,
     }
     for (int i = 0; i < placement->shard_count; ++i) {
       BIGDAWG_RETURN_NOT_OK(StoreFragment(
-          kEngineSciDb, i,
-          ShardFragmentName(snap.location.native_name, placement->epoch, i),
-          nullptr, &frags[static_cast<size_t>(i)], nullptr));
+          i, ShardFragmentName(snap.location.native_name, placement->epoch, i),
+          frags[static_cast<size_t>(i)]));
     }
     return catalog_.MarkPrimaryWritten(object);
   }
   // Writes never fail over — a down array engine fails the store (the
   // age-out pipeline keeps the rows pending and retries).
-  BIGDAWG_RETURN_NOT_OK(CheckEngine(kEngineSciDb));
-  BIGDAWG_ASSIGN_OR_RETURN(array::Array a, TableToArray(table));
-  BIGDAWG_RETURN_NOT_OK(array_.PutArray(object, std::move(a)));
+  BIGDAWG_RETURN_NOT_OK(StoreTableOnEngine(table, kEngineSciDb, object));
   if (catalog_.Lookup(object).ok()) {
     // Existing history object: bump its version so the cast cache drops
     // every pre-flush entry.

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <map>
 #include <memory>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -30,6 +29,10 @@ namespace bigdawg::core {
 
 class StreamAgeOut;
 struct StreamAgeOutConfig;
+/// Per-data-model facts the generic fetch, gather and store code reads
+/// (defined for relational::Table, array::Array and d4m::AssocArray).
+template <typename T>
+struct ModelTraits;
 
 /// One CAST site a query would perform, discovered by PlanCasts without
 /// executing anything. Steps appear in execution order: a CAST nested
@@ -75,10 +78,9 @@ class BigDawg {
   kvstore::TextStore& accumulo() { return text_; }
   stream::StreamEngine& sstore() { return stream_; }
   tiledb::TileDbEngine& tiledb() { return tiledb_; }
-  /// Raw access to the middleware-resident associative store, for
-  /// single-threaded data loading; concurrent executions go through the
-  /// internally locked paths.
-  std::map<std::string, d4m::AssocArray>& assoc_store() { return assoc_store_; }
+  /// The middleware-resident associative store (the d4m "engine"): a
+  /// locked map, like each of its shard instances.
+  AssocShard& assoc_store() { return assoc_store_; }
 
   Catalog& catalog() { return catalog_; }
   Monitor& monitor() { return monitor_; }
@@ -249,65 +251,50 @@ class BigDawg {
   Result<relational::Table> FetchTableFrom(const std::string& engine,
                                            const std::string& native);
 
+  // ---- The one fetch path, generic over the data model T ----
+
+  template <typename T>
+  friend struct ModelTraits;
+  /// FetchOnce, retried on a NotFound caused by a concurrent repartition
+  /// retiring the physical names a snapshot pointed at.
+  template <typename T>
+  Result<T> FetchAs(const std::string& object);
+  /// One attempt: snapshot, sharded gather or cache-aware routed read.
+  template <typename T>
+  Result<T> FetchOnce(const std::string& object);
+  /// Routing behind the cache: down-check and failover, home-model replica
+  /// preference, engine read. `shim_span` is the caller's span (for replica
+  /// tags); `trace` may be null.
+  template <typename T>
+  Result<T> FetchRouted(const std::string& object, const ObjectLocation& loc,
+                        obs::SpanGuard* shim_span, obs::Trace* trace);
+  /// Reads physical object `native` on `engine` and converts it to T, with
+  /// no fault-plane check.
+  template <typename T>
+  Result<T> ReadAs(const std::string& engine, const std::string& native);
+
   // ---- Sharded-object internals ----
 
-  /// One attempt at a cross-model fetch (the pre-sharding Fetch* bodies).
-  /// The public wrappers retry on NotFound caused by a concurrent
-  /// repartition retiring the physical names a snapshot pointed at.
-  Result<relational::Table> FetchAsTableOnce(const std::string& object);
-  Result<array::Array> FetchAsArrayOnce(const std::string& object);
-  Result<d4m::AssocArray> FetchAsAssocOnce(const std::string& object);
-
-  /// Gathers a sharded object's fragments in its HOME model (table for
-  /// postgres, array for scidb, assoc for d4m) with bounded retries
-  /// against concurrent repartitions, per-shard failure handling, and
-  /// whole-object replica failover. Cross-model Fetch* wrappers convert
-  /// the gathered result, mirroring the unsharded conversion path.
-  Result<relational::Table> GatherShardedTable(const std::string& object,
-                                               const ObjectSnapshot& snap);
-  Result<array::Array> GatherShardedArray(const std::string& object,
-                                          const ObjectSnapshot& snap);
-  Result<d4m::AssocArray> GatherShardedAssoc(const std::string& object,
-                                             const ObjectSnapshot& snap);
+  /// Gathers a sharded object's fragments in its HOME model T (table for
+  /// postgres, array for scidb, assoc for d4m) with per-shard failure
+  /// handling and whole-object replica failover; a repartition racing the
+  /// gather surfaces as NotFound for FetchAs to retry.
+  template <typename T>
+  Result<T> GatherSharded(const std::string& object, const ObjectSnapshot& snap);
   /// One shard's fragment read, through the per-shard cast cache entry
   /// (params "s<i>@e<epoch>", version = that shard's write version).
-  Result<relational::Table> FetchTableFragment(const std::string& object,
-                                               const ObjectSnapshot& snap,
-                                               int shard);
-  Result<array::Array> FetchArrayFragment(const std::string& object,
-                                          const ObjectSnapshot& snap,
-                                          int shard);
-  Result<d4m::AssocArray> FetchAssocFragment(const std::string& object,
-                                             const ObjectSnapshot& snap,
-                                             int shard);
-  /// Fetches the whole object in its home model (table/array/assoc by
-  /// engine), bypassing islands; used by repartitioning.
-  Result<relational::Table> FetchWholeTableForShard(const ObjectSnapshot& snap,
-                                                    const std::string& object);
-  /// Writes fragment `shard` of the new layout and returns OK only when
-  /// the store took (fault plane consulted with the instance name).
-  Status StoreFragment(const std::string& engine, int shard,
-                       const std::string& native,
-                       const relational::Table* table,
-                       const array::Array* array,
-                       const d4m::AssocArray* assoc);
+  template <typename T>
+  Result<T> FetchFragment(const std::string& object, const ObjectSnapshot& snap,
+                          int shard);
+  /// Writes fragment `shard` of the new layout to T's home engine instance
+  /// and returns OK only when the store took (fault plane consulted with
+  /// the instance name).
+  template <typename T>
+  Status StoreFragment(int shard, const std::string& native, const T& fragment);
   /// Drops one epoch's fragments from the shard instances (best-effort).
   void DropFragments(const std::string& engine, const std::string& native,
                      const ShardPlacement& placement);
 
-  // Routing bodies behind the cache-aware Fetch* wrappers: down-check,
-  // replica preference, engine dispatch. `shim_span` is the wrapper's
-  // span (for replica tags); `trace` may be null.
-  Result<relational::Table> FetchTableRouted(const std::string& object,
-                                             const ObjectLocation& loc,
-                                             obs::SpanGuard* shim_span,
-                                             obs::Trace* trace);
-  Result<array::Array> FetchArrayRouted(const std::string& object,
-                                        const ObjectLocation& loc,
-                                        obs::SpanGuard* shim_span,
-                                        obs::Trace* trace);
-  Result<d4m::AssocArray> FetchAssocRouted(const std::string& object,
-                                           const ObjectLocation& loc);
   /// Stamps the cache outcome on the active context and the shim span.
   void StampCacheOutcome(CastCacheOutcome outcome, int64_t bytes, bool ok,
                          obs::SpanGuard* shim_span, obs::Trace* trace);
@@ -326,7 +313,7 @@ class BigDawg {
   kvstore::TextStore text_;
   stream::StreamEngine stream_;
   tiledb::TileDbEngine tiledb_;
-  std::map<std::string, d4m::AssocArray> assoc_store_;
+  AssocShard assoc_store_;
 
   Catalog catalog_;
   Monitor monitor_;
@@ -349,10 +336,6 @@ class BigDawg {
   /// -fsanitize=null false positive ("store to null pointer") when the
   /// member is written from another translation unit.
   static ExecContext*& ActiveCtx();
-  /// Guards assoc_store_: unlike the engines, which synchronize
-  /// internally, the middleware-resident associative store is a plain
-  /// map. The accessor above is for single-threaded loading only.
-  mutable std::shared_mutex assoc_mu_;
 };
 
 }  // namespace bigdawg::core

@@ -2,7 +2,6 @@
 #define BIGDAWG_CORE_ISLANDS_H_
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 
@@ -25,8 +24,6 @@ struct EngineSet {
   kvstore::TextStore* text = nullptr;
   stream::StreamEngine* stream = nullptr;
   tiledb::TileDbEngine* tiledb = nullptr;
-  /// Middleware-resident associative store (D4M materializations).
-  std::map<std::string, d4m::AssocArray>* assoc = nullptr;
   /// Shard-instance pools + scatter machinery; islands consult it to push
   /// distributive work down to the shards of a partitioned object instead
   /// of gathering the whole object first. Null disables pushdown.

@@ -185,7 +185,7 @@ Result<d4m::AssocArray> AssocShard::Get(const std::string& native) const {
   std::shared_lock lock(mu_);
   auto it = objects_.find(native);
   if (it == objects_.end()) {
-    return Status::NotFound("no assoc fragment named " + native);
+    return Status::NotFound("no assoc object named " + native);
   }
   return it->second;
 }

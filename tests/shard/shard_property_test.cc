@@ -86,7 +86,7 @@ class ShardPropertyTest : public ::testing::Test {
               Value(static_cast<double>(rng.NextInt(1, 30))));
       }
     }
-    dawg_.assoc_store()["graph"] = std::move(g);
+    dawg_.assoc_store().Put("graph", std::move(g));
     BIGDAWG_CHECK_OK(dawg_.RegisterObject("graph", kEngineD4m, "graph"));
   }
 
