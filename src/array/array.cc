@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <string_view>
+#include <unordered_set>
 
 #include "common/macros.h"
 
@@ -108,11 +110,12 @@ Result<Array> Array::Create(std::vector<Dimension> dims,
                                      "' overflows int64 extents");
     }
   }
-  for (size_t i = 0; i < attrs.size(); ++i) {
-    for (size_t j = i + 1; j < attrs.size(); ++j) {
-      if (attrs[i] == attrs[j]) {
-        return Status::InvalidArgument("duplicate attribute: " + attrs[i]);
-      }
+  // Linear in the attribute count: a decoded frame can name many.
+  std::unordered_set<std::string_view> seen;
+  seen.reserve(attrs.size());
+  for (const std::string& attr : attrs) {
+    if (!seen.insert(attr).second) {
+      return Status::InvalidArgument("duplicate attribute: " + attr);
     }
   }
   auto rep = std::make_shared<Rep>();

@@ -1,10 +1,13 @@
 #include "array/array.h"
 
 #include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "core/wire_format.h"
 
 namespace bigdawg::array {
 namespace {
@@ -47,6 +50,29 @@ TEST(ArrayTest, CreateRefusesOverflowingExtents) {
                              Dimension("j", 0, 4, int64_t{1} << 31)},
                             {"v"})
                   .ok());
+}
+
+TEST(ArrayTest, CreateRejectsDuplicateAttributes) {
+  // About 20k distinct names of one width; a decoded frame may carry this
+  // many, so the check must not compare them pairwise.
+  const std::vector<Dimension> dims = {Dimension("i", 0, 4, 2)};
+  std::vector<std::string> names;
+  for (int i = 0; i < 20000; ++i) names.push_back("a" + std::to_string(100000 + i));
+  ASSERT_TRUE(Array::Create(dims, names).ok());
+  const size_t n = names.size();
+  for (auto [dup, of] : {std::pair<size_t, size_t>{1, 0}, {n - 1, n - 2}, {n - 1, 0}}) {
+    std::vector<std::string> attrs = names;
+    attrs[dup] = attrs[of];
+    EXPECT_TRUE(Array::Create(dims, attrs).status().IsInvalidArgument())
+        << "duplicate at " << of << " and " << dup;
+  }
+
+  // The same names in an array wire frame, the last renamed to the first.
+  std::string wire = core::EncodeArray(*Array::Create(dims, names));
+  const size_t last = wire.rfind(names.back());
+  ASSERT_NE(last, std::string::npos);
+  wire.replace(last, names.back().size(), names.front());
+  EXPECT_TRUE(core::DecodeArray(wire).status().IsInvalidArgument());
 }
 
 TEST(ArrayTest, SetGetRoundTrip) {
