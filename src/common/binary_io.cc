@@ -100,19 +100,19 @@ Result<Value> BinaryReader::GetValue() {
       return Value::Null();
     case DataType::kBool: {
       BIGDAWG_ASSIGN_OR_RETURN(uint8_t b, GetUint8());
-      return Value(b != 0);
+      return Result<Value>(std::in_place, b != 0);
     }
     case DataType::kInt64: {
       BIGDAWG_ASSIGN_OR_RETURN(int64_t v, GetInt64());
-      return Value(v);
+      return Result<Value>(std::in_place, v);
     }
     case DataType::kDouble: {
       BIGDAWG_ASSIGN_OR_RETURN(double v, GetDouble());
-      return Value(v);
+      return Result<Value>(std::in_place, v);
     }
     case DataType::kString: {
       BIGDAWG_ASSIGN_OR_RETURN(std::string s, GetString());
-      return Value(std::move(s));
+      return Result<Value>(std::in_place, std::move(s));
     }
   }
   return Status::ParseError("bad value tag: " + std::to_string(tag));

@@ -18,6 +18,13 @@ class Result {
  public:
   /// Implicit construction from a value.
   Result(T value) : holder_(std::move(value)) {}  // NOLINT(runtime/explicit)
+  /// Constructs the value in place from `args`, with no temporary to move.
+  /// Value's decoders use it: moving a Value temporary into a Result makes
+  /// GCC 12 under -fsanitize=address report the temporary's inactive
+  /// std::string alternative as maybe-uninitialized.
+  template <typename... Args>
+  explicit Result(std::in_place_t, Args&&... args)
+      : holder_(std::in_place_index<0>, std::forward<Args>(args)...) {}
   /// Implicit construction from an error status.
   Result(Status status) : holder_(std::move(status)) {  // NOLINT(runtime/explicit)
     if (this->status().ok()) {

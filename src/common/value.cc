@@ -105,19 +105,25 @@ Result<Value> Value::CastTo(DataType target) const {
     case DataType::kNull:
       return Value::Null();
     case DataType::kBool: {
-      if (auto* i = std::get_if<int64_t>(&data_)) return Value(*i != 0);
-      if (auto* d = std::get_if<double>(&data_)) return Value(*d != 0.0);
+      if (auto* i = std::get_if<int64_t>(&data_)) {
+        return Result<Value>(std::in_place, *i != 0);
+      }
+      if (auto* d = std::get_if<double>(&data_)) {
+        return Result<Value>(std::in_place, *d != 0.0);
+      }
       if (auto* s = std::get_if<std::string>(&data_)) {
-        if (*s == "true" || *s == "1") return Value(true);
-        if (*s == "false" || *s == "0") return Value(false);
+        if (*s == "true" || *s == "1") return Result<Value>(std::in_place, true);
+        if (*s == "false" || *s == "0") return Result<Value>(std::in_place, false);
         return Status::TypeError("cannot cast string to bool: " + *s);
       }
       break;
     }
     case DataType::kInt64: {
-      if (auto* b = std::get_if<bool>(&data_)) return Value(static_cast<int64_t>(*b));
+      if (auto* b = std::get_if<bool>(&data_)) {
+        return Result<Value>(std::in_place, static_cast<int64_t>(*b));
+      }
       if (auto* d = std::get_if<double>(&data_)) {
-        return Value(static_cast<int64_t>(*d));
+        return Result<Value>(std::in_place, static_cast<int64_t>(*d));
       }
       if (auto* s = std::get_if<std::string>(&data_)) {
         return Parse(*s, DataType::kInt64);
@@ -125,15 +131,19 @@ Result<Value> Value::CastTo(DataType target) const {
       break;
     }
     case DataType::kDouble: {
-      if (auto* b = std::get_if<bool>(&data_)) return Value(*b ? 1.0 : 0.0);
-      if (auto* i = std::get_if<int64_t>(&data_)) return Value(static_cast<double>(*i));
+      if (auto* b = std::get_if<bool>(&data_)) {
+        return Result<Value>(std::in_place, *b ? 1.0 : 0.0);
+      }
+      if (auto* i = std::get_if<int64_t>(&data_)) {
+        return Result<Value>(std::in_place, static_cast<double>(*i));
+      }
       if (auto* s = std::get_if<std::string>(&data_)) {
         return Parse(*s, DataType::kDouble);
       }
       break;
     }
     case DataType::kString:
-      return Value(ToString());
+      return Result<Value>(std::in_place, ToString());
   }
   return Status::TypeError(std::string("unsupported cast from ") +
                            DataTypeToString(type()) + " to " +
@@ -147,8 +157,8 @@ Result<Value> Value::Parse(const std::string& text, DataType type) {
     case DataType::kNull:
       return Value::Null();
     case DataType::kBool: {
-      if (text == "true" || text == "1") return Value(true);
-      if (text == "false" || text == "0") return Value(false);
+      if (text == "true" || text == "1") return Result<Value>(std::in_place, true);
+      if (text == "false" || text == "0") return Result<Value>(std::in_place, false);
       return Status::ParseError("cannot parse bool: " + text);
     }
     case DataType::kInt64: {
@@ -158,7 +168,7 @@ Result<Value> Value::Parse(const std::string& text, DataType type) {
       if (errno != 0 || end == text.c_str() || *end != '\0') {
         return Status::ParseError("cannot parse int64: " + text);
       }
-      return Value(static_cast<int64_t>(v));
+      return Result<Value>(std::in_place, static_cast<int64_t>(v));
     }
     case DataType::kDouble: {
       char* end = nullptr;
@@ -167,10 +177,10 @@ Result<Value> Value::Parse(const std::string& text, DataType type) {
       if (errno != 0 || end == text.c_str() || *end != '\0') {
         return Status::ParseError("cannot parse double: " + text);
       }
-      return Value(v);
+      return Result<Value>(std::in_place, v);
     }
     case DataType::kString:
-      return Value(text);
+      return Result<Value>(std::in_place, text);
   }
   return Status::ParseError("cannot parse value: " + text);
 }

@@ -109,7 +109,7 @@ class AssocArray {
     mutable std::atomic<int64_t> bytes{-1};
 
     Rep() = default;
-    Rep(const Rep& o) : cells(o.cells), size(o.size) {}
+    Rep(const Rep& o) : CowCount(), cells(o.cells), size(o.size) {}
   };
 
   /// Thaws and drops memoized metadata ahead of in-place mutation.

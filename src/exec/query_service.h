@@ -36,9 +36,9 @@ struct QueryServiceConfig {
   /// Deadline applied to queries that don't set their own; 0 = none.
   double default_timeout_ms = 0;
   /// Backoff/retry schedule for transient (Unavailable) engine errors.
-  RetryPolicy retry;
+  RetryPolicy retry{};
   /// Per-engine circuit-breaker tuning.
-  CircuitBreakerPolicy breaker;
+  CircuitBreakerPolicy breaker{};
   /// Time source for deadlines, backoff, breaker windows, latency
   /// measurements, and trace timestamps; null = the system clock. Tests
   /// inject an obs::FakeClock to make every timing path deterministic.
@@ -61,7 +61,7 @@ struct QueryServiceConfig {
   /// sustained engine-score gaps into automatic migrations. Off by
   /// default; `adaptive.enabled = true` opts in, and the environment
   /// overrides either way (BIGDAWG_ADAPTIVE=0 kills it, =1 forces it).
-  AdaptiveConfig adaptive;
+  AdaptiveConfig adaptive{};
   /// Always-on profiler: every sampled completion's span tree is folded
   /// into per-class critical-path profiles (see obs::Profiler, /profile,
   /// /costs). On by default; the environment overrides either way

@@ -103,7 +103,7 @@ class Table {
     mutable std::vector<std::shared_ptr<const common::ColumnSlice>> slices;
 
     Rep() = default;
-    Rep(const Rep& o) : schema(o.schema), rows(o.rows) {}
+    Rep(const Rep& o) : CowCount(), schema(o.schema), rows(o.rows) {}
   };
 
   /// Thaws and drops memoized metadata that in-place mutation would

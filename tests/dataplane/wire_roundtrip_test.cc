@@ -93,7 +93,9 @@ TEST(WireRoundTripTest, TableCellsSurviveTheRoundTripExactly) {
       const Value& a = t.rows()[r][c];
       const Value& b = back.rows()[r][c];
       EXPECT_EQ(a.type(), b.type());
-      if (!a.is_null()) EXPECT_EQ(a.ToString(), b.ToString());
+      if (!a.is_null()) {
+        EXPECT_EQ(a.ToString(), b.ToString());
+      }
     }
   }
 }

@@ -91,7 +91,7 @@ TEST(ProfilerStormTest, ConcurrentIngestLosesNothing) {
   EXPECT_EQ(profiler.ingested(), kTotal);
   ASSERT_EQ(profiler.Classes(),
             (std::vector<std::string>{"ARRAY", "RELATIONAL"}));
-  for (const std::string& island : {"ARRAY", "RELATIONAL"}) {
+  for (const char* island : {"ARRAY", "RELATIONAL"}) {
     const ClassProfile profile = profiler.Snapshot(island);
     EXPECT_EQ(profile.queries, kTotal / 2);
     EXPECT_EQ(profile.retries, kTotal / 2);       // attempts=2 -> 1 retry
