@@ -142,6 +142,9 @@ TEST(DataPlaneTest, DatabaseGetTableSharesTheStoredBlock) {
 
 TEST(DataPlaneTest, CacheHitAndSourceShareBuffers) {
   BigDawg dawg;
+  // Cache hits are the subject here, so the BIGDAWG_CAST_CACHE=0 kill
+  // switch must not turn the cache off.
+  dawg.cast_cache().SetEnabled(true);
   BIGDAWG_CHECK_OK(dawg.postgres().CreateTable(
       "patients", Schema({Field("patient_id", DataType::kInt64),
                           Field("hr", DataType::kDouble)})));

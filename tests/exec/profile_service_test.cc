@@ -33,6 +33,9 @@ void LoadTinyFederation(core::BigDawg* dawg) {
 /// different environments run byte-identical workloads.
 struct Stack {
   explicit Stack(double slow_query_ms = -1) {
+    // Tracing starts off whatever BIGDAWG_TRACE says; tests that want
+    // retained traces enable it themselves.
+    dawg.tracer().Disable();
     LoadTinyFederation(&dawg);
     service = std::make_unique<QueryService>(
         &dawg, QueryServiceConfig{.num_workers = 1,

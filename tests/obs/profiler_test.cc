@@ -159,6 +159,7 @@ TEST(ProfilerTest, RenderFiltersByClassAndCostsOmitsTheFlameTree) {
 class GoldenProfileTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    dawg_.tracer().Disable();  // even under BIGDAWG_TRACE=1
     dawg_.fault_injector().SetClock(&clock_);
     BIGDAWG_CHECK_OK(dawg_.postgres().CreateTable(
         "readings", Schema({Field("t", DataType::kInt64),
