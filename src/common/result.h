@@ -18,9 +18,8 @@ class Result {
  public:
   /// Implicit construction from a value.
   Result(T value) : holder_(std::move(value)) {}  // NOLINT(runtime/explicit)
-  /// Constructs the value in place from `args`, with no temporary to move.
-  /// Value's decoders use it: moving a Value temporary into a Result makes
-  /// GCC 12 under -fsanitize=address report the temporary's inactive
+  /// Constructs the value in place, with no temporary to move: under
+  /// -fsanitize=address, GCC 12 reports a moved Value temporary's inactive
   /// std::string alternative as maybe-uninitialized.
   template <typename... Args>
   explicit Result(std::in_place_t, Args&&... args)

@@ -351,14 +351,15 @@ Result<To> Convert(Result<From> from) {
   }
 }
 
-/// Calls `fn` with the traits of the model that sharded objects homed on
-/// `engine` are partitioned in; returns `unshardable` for any other engine.
+/// Calls `fn` with the traits of the model whose home is `engine` (the
+/// model its objects are stored and sharded in); returns `otherwise` for
+/// an engine that is no model's home.
 template <typename R, typename Fn>
-R VisitShardModel(const std::string& engine, Fn&& fn, R unshardable) {
+R VisitHomeModel(const std::string& engine, Fn&& fn, R otherwise) {
   if (engine == kEnginePostgres) return fn(ModelTraits<relational::Table>{});
   if (engine == kEngineSciDb) return fn(ModelTraits<array::Array>{});
   if (engine == kEngineD4m) return fn(ModelTraits<d4m::AssocArray>{});
-  return unshardable;
+  return otherwise;
 }
 
 /// The engine a CAST into `model` materializes on.
@@ -579,7 +580,7 @@ Result<T> BigDawg::FetchOnce(const std::string& object) {
   if (trace != nullptr) shim_span.Tag("engine", loc.engine);
   if (snap.placement.sharded()) {
     if (trace != nullptr) shim_span.Tag("sharded", "true");
-    return VisitShardModel<Result<T>>(
+    return VisitHomeModel<Result<T>>(
         loc.engine,
         [&](auto home) -> Result<T> {
           using Home = typename decltype(home)::Model;
@@ -657,24 +658,20 @@ Status BigDawg::StoreTableOnEngine(const relational::Table& table,
                                    const std::string& native) {
   // Writes never fail over — a down engine fails the store.
   BIGDAWG_RETURN_NOT_OK(CheckEngine(engine));
-  if (engine == kEnginePostgres) {
-    return relational_.PutTable(native, table);
-  }
-  if (engine == kEngineSciDb) {
-    BIGDAWG_ASSIGN_OR_RETURN(array::Array a, TableToArray(table));
-    return array_.PutArray(native, std::move(a));
-  }
   if (engine == kEngineTileDb) {
     BIGDAWG_ASSIGN_OR_RETURN(array::Array a, TableToArray(table));
     BIGDAWG_ASSIGN_OR_RETURN(tiledb::TileDbArray m, ArrayToTileMatrix(a));
     return tiledb_.PutArray(native, std::move(m));
   }
-  if (engine == kEngineD4m) {
-    BIGDAWG_ASSIGN_OR_RETURN(d4m::AssocArray a, TableToAssoc(table));
-    assoc_store_.Put(native, std::move(a));
-    return Status::OK();
-  }
-  return Status::InvalidArgument("unsupported storage engine: " + engine);
+  return VisitHomeModel(
+      engine,
+      [&](auto traits) -> Status {
+        using Traits = decltype(traits);
+        BIGDAWG_ASSIGN_OR_RETURN(typename Traits::Model m,
+                                 Convert<typename Traits::Model>(table));
+        return Traits::Write(Traits::Home(*this), native, std::move(m));
+      },
+      Status::InvalidArgument("unsupported storage engine: " + engine));
 }
 
 void BigDawg::DropPhysical(const std::string& engine, const std::string& native) {
@@ -883,7 +880,7 @@ Status BigDawg::StoreFragment(int shard, const std::string& native,
 
 void BigDawg::DropFragments(const std::string& engine, const std::string& native,
                             const ShardPlacement& placement) {
-  (void)VisitShardModel(
+  (void)VisitHomeModel(
       engine,
       [&](auto traits) {
         using Traits = decltype(traits);
@@ -915,7 +912,7 @@ Status BigDawg::ShardObject(const std::string& object, int shard_count,
   placement.shard_count = shard_count;
   placement.epoch = snap.placement.epoch + 1;
 
-  BIGDAWG_RETURN_NOT_OK(VisitShardModel(
+  BIGDAWG_RETURN_NOT_OK(VisitHomeModel(
       engine,
       [&](auto traits) -> Status {
         using Traits = decltype(traits);
@@ -958,7 +955,7 @@ Status BigDawg::UnshardObject(const std::string& object) {
   if (!snap.placement.sharded()) return Status::OK();
   const std::string& engine = snap.location.engine;
   BIGDAWG_RETURN_NOT_OK(CheckEngine(engine));
-  BIGDAWG_RETURN_NOT_OK(VisitShardModel(
+  BIGDAWG_RETURN_NOT_OK(VisitHomeModel(
       engine,
       [&](auto traits) -> Status {
         using Traits = decltype(traits);

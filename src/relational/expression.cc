@@ -238,11 +238,13 @@ Result<Value> UnaryExpr::Eval(const Row& row) const {
   if (v.is_null()) return Value::Null();
   if (op_ == UnaryOp::kNot) {
     BIGDAWG_ASSIGN_OR_RETURN(bool b, v.AsBool());
-    return Value(!b);
+    return Result<Value>(std::in_place, !b);
   }
-  if (v.type() == DataType::kInt64) return Value(-v.int64_unchecked());
+  if (v.type() == DataType::kInt64) {
+    return Result<Value>(std::in_place, -v.int64_unchecked());
+  }
   BIGDAWG_ASSIGN_OR_RETURN(double d, v.ToNumeric());
-  return Value(-d);
+  return Result<Value>(std::in_place, -d);
 }
 
 std::string UnaryExpr::ToString() const {
